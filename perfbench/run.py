@@ -7,8 +7,8 @@ Run from the repository root; the program under test is ``./src/tlfsim``.
 Every child process gets one BLAS thread and the CLI's default thread pool
 (``TLFSIM_THREADS`` unset, so ``os.cpu_count()`` workers).
 
-A run first starts ``SETUP_SAMPLES`` fresh interpreters that import tlfsim and
-build the workload's inputs, then one more that also runs passes over the
+A run starts ``SETUP_SAMPLES`` fresh interpreters that import tlfsim and
+build the workload's inputs; the last of them also runs passes over the
 workload until ``--seconds`` (counted from the start of the run) are used.
 With ``--trace 0`` it reports the end-to-end metrics; with ``--trace 1`` it
 alternates untraced and traced passes and reports the per-layer metrics
@@ -26,14 +26,12 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("frozen-ensemble", "continuum-broad", "reference-check", "fine-trace")
+SPEC_PATH = os.path.join(os.path.dirname(HERE), "BENCHMARK.json")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 8  # fresh interpreters per run, the measuring one included
 PROCESS_TIMEOUT = 150.0  # seconds; the whole run must end within 180
 OUT_DIR = ".perfbench_out"
-
-END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "cpu_s": "s", "peak_rss_mb": "MB"}
 
 
 class BenchError(Exception):
@@ -96,7 +94,7 @@ def _tagged(lines: list[str], tag: str) -> dict:
     raise BenchError(f"worker printed no {tag!r} line")
 
 
-def run(args) -> dict:
+def run(args, spec: dict) -> dict:
     root = os.getcwd()
     if not os.path.isfile(os.path.join(root, "src", "tlfsim", "cli.py")):
         raise BenchError("no ./src/tlfsim here; run from the tlfsim repository root")
@@ -104,7 +102,7 @@ def run(args) -> dict:
     deadline = t_start + PROCESS_TIMEOUT
     env = _child_env(root)
     base = [sys.executable, os.path.join(HERE, "worker.py"), "--workload", args.workload,
-            "--seed", str(args.seed), "--out-dir", os.path.join(root, args.out_dir)]
+            "--seed", str(args.seed), "--out-dir", os.path.join(root, OUT_DIR)]
     if args.tiny:
         base += ["--tiny", "--refs", args.refs]
 
@@ -113,13 +111,13 @@ def run(args) -> dict:
         return _tagged(w.finish(), "describe")
 
     setup = []
-    for _ in range(SETUP_SAMPLES):
+    for _ in range(SETUP_SAMPLES - 1):
         w = Worker(base + ["--setup-only"], env, root, deadline)
         w.finish()
         setup.append(w.setup_s)
     budget = args.seconds - (time.perf_counter() - t_start)
-    w = Worker(base + ["--budget", repr(budget), "--trace", str(args.trace),
-                       "--min-passes", str(args.min_passes)], env, root, deadline)
+    w = Worker(base + ["--budget", repr(budget), "--trace", str(args.trace)],
+               env, root, deadline)
     setup.append(w.setup_s)
     lines = w.finish()
     if w.proc.returncode != 0:
@@ -136,13 +134,18 @@ def run(args) -> dict:
         print("failed " + msg)
 
     if args.trace:
-        metrics = {k: {"value": v, "unit": _layer_unit(k)} for k, v in res["layers"].items()}
+        values = res["layers"]
+        listed = spec["per_layer"]
     else:
         values = {"setup_s": statistics.median(setup),
                   "wall_s": _per_op_median(res["walls"]),
                   "cpu_s": _per_op_median(res["cpus"]),
                   "peak_rss_mb": res["maxrss_mb"]}
-        metrics = {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
+        listed = spec["end_to_end"]
+    missing = [m["name"] for m in listed if m["name"] not in values]
+    if missing:
+        raise BenchError(f"no value for {', '.join(missing)}")
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in listed}
     for name, m in metrics.items():
         print(f"metric {name} = {m['value']:.6g} {m['unit']}")
     return {"correct": res["failed"] == 0, "attempted": res["attempted"],
@@ -154,33 +157,22 @@ def _per_op_median(passes: list[list[float]]) -> float:
     return sum(statistics.median(times) for times in zip(*passes))
 
 
-def _layer_unit(name: str) -> str:
-    for suffix, unit in (("ns_per_term", "ns"), ("us_per_point", "us"),
-                         ("ms_per_point", "ms"), ("ns_per_point_d2", "ns"),
-                         ("ns_per_sample", "ns"), ("bytes_written", "B"),
-                         ("parallelism", "ratio")):
-        if name.endswith(suffix):
-            return unit
-    if name.endswith("_s") or name.endswith(".s"):
-        return "s"
-    return "count"
-
-
 def main(argv=None) -> int:
+    with open(SPEC_PATH, encoding="utf-8") as fh:
+        spec = json.load(fh)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--min-passes", type=int, default=3)
     ap.add_argument("--tiny", action="store_true", help="self-test size")
     ap.add_argument("--refs", help="reference file for --tiny")
     ap.add_argument("--describe", action="store_true",
                     help="print the op list and seeded-input digest instead of running")
-    ap.add_argument("--out-dir", default=OUT_DIR)
     args = ap.parse_args(argv)
     try:
-        result = run(args)
+        result = run(args, spec)
     except (BenchError, subprocess.TimeoutExpired, OSError) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-test of the benchmark at a tiny size (about a minute).
+"""Self-test of the benchmark at a tiny size (about a minute and a half).
 
     python3 perfbench/selftest.py
 
@@ -7,8 +7,9 @@ Run from the repository root.  It checks that
 
 * every workload runs, untraced and traced, with no failed operation, and
   prints every metric BENCHMARK.json names, with the unit it names;
-* a perturbed output fails each kind of check, and a run whose reference
-  disagrees with the program reports failed operations and ``correct: false``;
+* a perturbed output fails each kind of check, a call that writes no output
+  fails, and a run whose reference disagrees with the program reports failed
+  operations and ``correct: false``;
 * another seed changes the seeded inputs but not the list of operations;
 * without ``./src/tlfsim`` the benchmark exits non-zero and prints no result.
 """
@@ -29,6 +30,7 @@ RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 failures: list[str] = []
@@ -48,8 +50,7 @@ def bench(*args: str, cwd: str = ROOT) -> tuple[int, list[str]]:
 
 def tiny_run(workload: str, trace: int, refs: str) -> dict | None:
     code, lines = bench("--workload", workload, "--seed", "3", "--seconds", "1",
-                        "--trace", str(trace), "--tiny", "--refs", refs,
-                        "--min-passes", "2", "--out-dir", OUT)
+                        "--trace", str(trace), "--tiny", "--refs", refs)
     if code != 0 or not lines:
         return None
     return json.loads(lines[-1])
@@ -69,7 +70,8 @@ def perturbed_outputs_fail(refs: dict) -> None:
         op.check(out)
         if isinstance(out, workloads.CsvOutput):
             row = workloads.check_rows(out.n_rows)[-1] + 1  # +1: header line
-            lines = out.raw.decode().splitlines()
+            with open(out.path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
             cells = lines[row].split(",")
             cells[1] = repr(float(cells[1]) * 1.05 + 1e-3)
             lines[row] = ",".join(cells)
@@ -86,6 +88,21 @@ def perturbed_outputs_fail(refs: dict) -> None:
         except workloads.CheckError:
             caught = True
         expect(caught, f"perturbed {name}/{op_id} output fails its check")
+
+
+def missing_output_fails(refs: dict) -> None:
+    """A call that exits 0 but writes nothing fails, even where an earlier
+    pass left its file behind."""
+    out_dir = os.path.join(OUT, "missing")
+    os.makedirs(out_dir, exist_ok=True)
+    op = workloads.build("fine-trace", 3, True, out_dir, refs)[0]
+    known: dict = {}
+    _, _, bad = worker._run_pass([op], None, known, [], out_dir)
+    expect(bad == 0, f"fine-trace/{op.id} passes its check")
+    op.call = lambda: None
+    messages: list[str] = []
+    _, _, bad = worker._run_pass([op], None, known, messages, out_dir)
+    expect(bad == 1, f"a call that writes no output counts as failed ({messages})")
 
 
 def main() -> int:
@@ -118,6 +135,7 @@ def main() -> int:
                                         "match BENCHMARK.json")
 
     perturbed_outputs_fail(refs)
+    missing_output_fails(refs)
     bad = json.loads(json.dumps(refs))
     bad["continuum-broad"]["figure7"]["values"]["erfc"][-1] += 1e-6
     bad_path = os.path.join(OUT, "refs-perturbed.json")
@@ -131,8 +149,7 @@ def main() -> int:
         described = []
         for seed in ("1", "2"):
             code, lines = bench("--workload", name, "--seed", seed, "--seconds", "1",
-                                "--describe", "--tiny", "--refs", refs_path,
-                                "--out-dir", OUT)
+                                "--describe", "--tiny", "--refs", refs_path)
             described.append(json.loads(lines[-1]) if code == 0 else None)
         a, b = described
         expect(a is not None and b is not None and a["ops"] == b["ops"]

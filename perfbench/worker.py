@@ -29,6 +29,8 @@ import tlfsim.cli
 import tracing
 import workloads
 
+MIN_PASSES = 3
+
 
 def _environment(seed: int) -> dict:
     blas = {}
@@ -53,8 +55,15 @@ def _environment(seed: int) -> dict:
     }
 
 
-def _run_pass(ops, tracer, known: dict, failures: list) -> tuple[list, list, int]:
-    """Run every op once; returns (wall s per op, CPU s per op, failed count)."""
+def _run_pass(ops, tracer, known: dict, failures: list,
+              out_dir: str) -> tuple[list, list, int]:
+    """Run every op once; returns (wall s per op, CPU s per op, failed count).
+
+    ``out_dir`` is emptied first, so that an operation that writes nothing
+    cannot be checked against a file an earlier pass or run left there.
+    """
+    for name in os.listdir(out_dir):
+        os.remove(os.path.join(out_dir, name))
     outputs, walls, cpus = [], [], []
     if tracer is not None:
         tracer.reset()
@@ -98,7 +107,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=workloads.NAMES)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--budget", type=float, default=0.0, help="seconds of passes")
-    ap.add_argument("--min-passes", type=int, default=3)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--setup-only", action="store_true")
     ap.add_argument("--describe", action="store_true",
@@ -134,7 +142,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     while True:
         traced = tracer is not None and len(walls) > len(traced_walls)
-        wall, cpu, bad = _run_pass(ops, tracer if traced else None, known, failures)
+        wall, cpu, bad = _run_pass(ops, tracer if traced else None, known, failures,
+                                   out_dir)
         attempted += len(ops)
         failed += bad
         if traced:
@@ -146,7 +155,7 @@ def main(argv=None) -> int:
             cpus.append(cpu)
         done = len(walls) + len(traced_walls)
         elapsed = time.perf_counter() - start
-        if done >= args.min_passes and elapsed * (done + 1) / done > args.budget:
+        if done >= MIN_PASSES and elapsed * (done + 1) / done > args.budget:
             break
 
     result = {

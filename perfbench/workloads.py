@@ -52,26 +52,37 @@ def check_rows(n: int) -> np.ndarray:
 
 
 class CsvOutput:
-    """A CSV written by the CLI, parsed only at the rows a check needs."""
+    """A CSV written by the CLI, with its manifest.  The file is streamed, not
+    held whole, and parsed only at the rows a check needs, so that reading it
+    back does not raise the worker's peak memory."""
 
     def __init__(self, path: str) -> None:
+        self.path = path
+        digest = hashlib.sha256()
         with open(path, "rb") as fh:
-            self.raw = fh.read()
-        lines = self.raw.decode("utf-8").splitlines()
-        self.header = lines[0].split(",")
-        self._lines = lines[1:]
+            header = fh.readline()
+            digest.update(header)
+            self.n_rows = 0
+            for line in fh:
+                digest.update(line)
+                self.n_rows += 1
+        self.header = header.decode("utf-8").rstrip("\r\n").split(",")
+        self.digest = digest.hexdigest()
         self.manifest = {}
         with open(path + ".manifest", encoding="utf-8") as fh:
             for line in fh:
                 key, _, value = line.partition(" = ")
                 self.manifest[key] = value.rstrip("\n")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self._lines)
-
     def rows(self, idx) -> np.ndarray:
-        return np.array([[float(x) for x in self._lines[i].split(",")] for i in idx])
+        idx = list(idx)
+        wanted, found = set(idx), {}
+        with open(self.path, encoding="utf-8") as fh:
+            next(fh)
+            for i, line in enumerate(fh):
+                if i in wanted:
+                    found[i] = [float(x) for x in line.split(",")]
+        return np.array([found[i] for i in idx])
 
     def tolerance(self, tag: str) -> float:
         """The method's own tolerance for a column of this CSV."""
@@ -210,7 +221,7 @@ def cli_op(op_id: str, argv: list[str], out_dir: str, check, inputs=None) -> Op:
             raise CheckError(f"exit code {code}")
 
     return Op(op_id, {"argv": argv, "sampled": inputs}, call, check,
-              lambda out: hashlib.sha256(out.raw).hexdigest(),
+              lambda out: out.digest,
               read=lambda _: CsvOutput(path))
 
 
@@ -296,9 +307,6 @@ def _ctx(kt):
 
 # ---------------------------------------------------------------------------
 # Workloads.  Sizes: (full, tiny); the tiny size is for the self-test only.
-
-NAMES = ("frozen-ensemble", "continuum-broad", "reference-check", "fine-trace")
-
 
 def _pick(tiny: bool, full, small):
     return small if tiny else full
@@ -470,6 +478,7 @@ def fine_trace(seed, tiny, refs, out_dir):
 
 BUILDERS = {"frozen-ensemble": frozen_ensemble, "continuum-broad": continuum_broad,
             "reference-check": reference_check, "fine-trace": fine_trace}
+NAMES = tuple(BUILDERS)
 
 
 class _Missing(dict):
