@@ -34,12 +34,13 @@ class TestJcOnly:
 class TestValidation:
     def test_all_errors_collected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
-        cfg.write_text("kind = single-tlf\nbogus = 3\nlambda = nope\n")
+        cfg.write_text("kind = single-tlf\nbogus = 3\nlambda = nope\n"
+                       "tGrid.tMax = -1\ntGrid.nPoints = 1\n")
         rc = main(["validate", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "tGrid.tMax: missing" in err
-        assert "tGrid.nPoints: missing" in err
+        assert "tGrid.tMax: must be > 0" in err
+        assert "tGrid.nPoints: must be >= 2" in err
         assert "bogus: unknown key" in err
         assert "lambda:" in err
 
@@ -50,6 +51,29 @@ class TestValidation:
         rc = main(["validate", "--config", str(cfg)])
         assert rc == 0
         assert "ok: jc-only" in capsys.readouterr().out
+
+    def test_grid_defaults_match_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "jc.conf"
+        cfg.write_text("kind = jc-only\ng = 0.1\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert "ok: jc-only scenario, 1000 points to t = 200" in capsys.readouterr().out
+        assert main(["jc-only", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(read_csv(tmp_path / "x.csv")) == 1000
+
+    def test_negative_figure_seed_rejected(self, tmp_path, capsys):
+        rc = main(["figure", "4", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: seed: must be >= 0\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_missing_output_directory_rejected(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        rc = main(["jc-only", "--out", str(out), "--n-points", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_negative_coupling_rejected(self, tmp_path, capsys):
         rc = main(["jc-only", "--g", "-1", "--out", str(tmp_path / "x.csv")])
@@ -108,7 +132,7 @@ class TestManifest:
                     if False else tmp_path / "d.csv.manifest").read_text()
         assert "kind = dissipative" in manifest
         assert "param.gamma = 0.002" in manifest
-        assert "tolerance.ode_rtol = " in manifest
+        assert "tolerance.quad_rel_tol = " in manifest
         assert "resolved.regime = weak-coupling" in manifest
         assert "tlfsim.version = " in manifest
 
@@ -119,7 +143,7 @@ class TestManifest:
         assert rc == 0
         manifest = (tmp_path / "d.csv.manifest").read_text()
         assert "toleranceProfile = strict" in manifest
-        assert "tolerance.ode_rtol = 9.9999999999999998e-13" in manifest
+        assert "tolerance.quad_rel_tol = 1e-10" in manifest
 
 
 class TestScenarios:

@@ -1,4 +1,4 @@
-"""Dissipative fluctuator: reduced ODE, damped closed forms and regimes."""
+"""Dissipative fluctuator: reduced propagator, damped closed forms and regimes."""
 import math
 import warnings
 
@@ -7,7 +7,7 @@ import pytest
 
 import tlfsim as ts
 from tlfsim.dissipative import DampingCharacter, DampingRegime
-from tlfsim.errors import InvalidInputError, RegimeWarning
+from tlfsim.errors import InvalidInputError, NumericalError, RegimeWarning
 
 from conftest import oracle_lindblad_trace
 
@@ -47,9 +47,15 @@ class TestIntegrateReduced:
         exact = ts.coherence_exact_single(params, ts.TlfSpec(0.1, 0.01), ss, t)
         assert np.abs(ode.values - exact).max() < 1e-8
 
-    @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
-    def test_matches_lindblad_oracle(self, ss, ratio):
-        g, lam = 0.1, 0.01
+    @pytest.mark.parametrize("g, lam, ratio", [
+        pytest.param(0.1, 0.01, 0.1, id="0.1"),
+        pytest.param(0.1, 0.01, 1.0, id="1.0"),
+        pytest.param(0.1, 0.01, 10.0, id="10.0"),
+        # g = lam = gamma sits next to an exceptional point: cond(V) ~ 2e8, so
+        # integrate_reduced takes its matrix-exponential fallback.
+        pytest.param(0.05, 0.05, 1.0, id="exceptional-point"),
+    ])
+    def test_matches_lindblad_oracle(self, ss, g, lam, ratio):
         gamma = ratio * lam
         params = ts.JcParams(1.0, 1.0, g)
         t = np.linspace(0.0, 5 / gamma, 200)
@@ -68,6 +74,10 @@ class TestIntegrateReduced:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             ts.integrate_reduced(0.1, 0.01, 0.01, [0.0, 2.0, 1.0])
+
+    def test_overflow_is_numerical_error(self):
+        with pytest.raises(NumericalError):
+            ts.integrate_reduced(1e200, 1e200, 1e200, [0.0, 1.0])
 
     def test_coherence_eventually_lost(self):
         t = np.array([0.0, 5e4])
