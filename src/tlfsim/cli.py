@@ -8,6 +8,7 @@ reproduce the library's reference scenarios at desk scale.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -615,8 +616,25 @@ def write_manifest(path: str, sc: Scenario, extras: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_output_dir(out: str) -> None:
+    """Raise the error open(out, "w") would raise for a missing or read-only
+    directory, or for an ``out`` that is itself a directory."""
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if not os.access(parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+
+
 def run_scenario(sc: Scenario, out: str) -> None:
-    """Evaluate a scenario and write ``out`` (CSV) plus ``out + '.manifest'``."""
+    """Evaluate a scenario and write ``out`` (CSV) plus ``out + '.manifest'``.
+
+    The output directory is checked before any evaluation, so an unwritable
+    ``out`` fails at once instead of after the columns are computed.
+    """
+    _check_output_dir(out)
     if sc.kind == "figure":
         index = sc.params["index"]
         first, cols, extras = FIGURES[index](sc)

@@ -4,7 +4,11 @@ The exact coherence is a thermally weighted sum over all 2^N fluctuator
 configurations, each shifting the TLS detuning by twice the inner product of
 the configuration with the coupling vector.  For large ensembles the inner
 product distribution is approximated as Gaussian, giving a continuum-limit
-integral plus narrow- and broad-ensemble closed forms.  The coupling samplers
+integral plus narrow- and broad-ensemble closed forms.  The exact sum and the
+continuum quadrature share one kernel: each Jaynes--Cummings amplitude is split
+into two plain exponentials, so K configurations or quadrature nodes become a
+sum of 2K terms c_j e^{i omega_j t}, which on an equispaced time grid is
+evaluated in sqrt(T)-long blocks as one matrix product.  The coupling samplers
 reproduce the uniform and spatially distributed ensembles used in the
 reference scenarios.
 """
@@ -25,7 +29,14 @@ from .errors import (
     NumericalError,
     RegimeWarning,
 )
-from .model import JcParams, ThermalContext, coherence_gr, _as_time
+from .model import (
+    JcParams,
+    ThermalContext,
+    coherence_gr,
+    _as_time,
+    _mixture_coherence,
+    _rabi_envelope,
+)
 from .single_fluctuator import TlfSpec
 
 __all__ = [
@@ -114,15 +125,13 @@ def _configuration_table(ens: TlfEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return lam_sum, prob
 
 
-def _jc_amplitude(g: float, delta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """cos(Omega t / 2) + i (delta/Omega) sin(Omega t / 2), broadcast over (t, delta)."""
-    omega = np.sqrt(4.0 * g**2 + delta**2)
-    half = omega * t / 2.0
-    return np.cos(half) + 1j * (delta / omega) * np.sin(half)
-
-
 def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     """Exact 2^N-configuration coherence sum.
+
+    Each configuration contributes its probability times exp(-i Lam t) and the
+    JC amplitude at detuning delta + 2 Lam, Lam being its inner product; the
+    2^N amplitudes are summed as 2^(N+1) plain exponentials, blocked on
+    equispaced grids (see the module docstring).  Returns the shape of t.
 
     Raises CapacityError beyond the configured fluctuator cap (use the
     continuum approximation instead) and DegenerateEigensystemError if any
@@ -133,25 +142,10 @@ def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
             f"exact ensemble sum over 2^{ens.n} configurations exceeds cap "
             f"N <= {ens.cap}; use coherence_continuum"
         )
-    arr = _as_time(t)
     if ens.n == 0:
         return coherence_gr(params, t)
     lam_sum, prob = _configuration_table(ens)
-    delta_cfg = params.delta + 2.0 * lam_sum
-    if np.any(4.0 * params.g**2 + delta_cfg**2 == 0.0):
-        raise DegenerateEigensystemError(
-            "a fluctuator configuration makes the shifted doublet degenerate"
-        )
-    flat = np.atleast_1d(arr)
-    out = np.empty(flat.shape)
-    # chunk the time axis so the (t, config) work array stays modest
-    chunk = max(1, int(4e6 // lam_sum.size))
-    for i in range(0, flat.size, chunk):
-        tc = flat[i : i + chunk, None]
-        amp = _jc_amplitude(params.g, delta_cfg[None, :], tc)
-        total = np.sum(prob[None, :] * np.exp(-1j * lam_sum[None, :] * tc) * amp, axis=1)
-        out[i : i + chunk] = np.abs(total)
-    return out if arr.ndim else float(out[0])
+    return _mixture_coherence(params.g, params.delta, lam_sum, prob, t)
 
 
 def _gaussian(stats: EnsembleStats, lam: np.ndarray) -> np.ndarray:
@@ -167,39 +161,33 @@ def coherence_continuum(
 
     Integrates the Gaussian-weighted JC amplitude over inner products within
     eight standard deviations of the mean (tail mass < 1e-15); the panel count
-    is doubled until two successive evaluations agree to rel_tol.
+    is doubled until two successive evaluations agree to rel_tol.  Each
+    evaluation is the exact sum's mixture kernel with the quadrature nodes as
+    inner products and the Gaussian-scaled weights as probabilities: 2K plain
+    exponentials for K nodes, blocked on equispaced grids.  Returns the shape
+    of t.
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_continuum requires sigma2 > 0")
     arr = _as_time(t)
-    flat = np.atleast_1d(arr)
     lo, hi = stats.mu - 8.0 * stats.sigma, stats.mu + 8.0 * stats.sigma
-    t_max = float(flat.max())
+    t_max = float(np.max(arr, initial=0.0))
     # phase slope of exp(-i Lam t) exp(+/- i Omega(Lam) t / 2) is at most 2t
     edges = oscillation_edges(lo, hi, 2.0 * t_max)
 
-    def evaluate(edges: np.ndarray) -> np.ndarray:
+    def evaluate(edges: np.ndarray):
         nodes, weights = panel_nodes(edges, order=12)
         wts = weights * _gaussian(stats, nodes)
-        delta_lam = params.delta + 2.0 * nodes
-        out = np.empty(flat.shape)
-        chunk = max(1, int(4e6 // nodes.size))
-        for i in range(0, flat.size, chunk):
-            tc = flat[i : i + chunk, None]
-            f = np.exp(-1j * nodes[None, :] * tc) * _jc_amplitude(
-                params.g, delta_lam[None, :], tc
-            )
-            out[i : i + chunk] = np.abs(f @ wts)
-        return out
+        return _mixture_coherence(params.g, params.delta, nodes, wts, arr)
 
     prev = evaluate(edges)
     for _ in range(3):
         n = edges.size - 1
         edges = np.linspace(lo, hi, 2 * n + 1)
         cur = evaluate(edges)
-        err = np.max(np.abs(cur - prev))
-        if err <= rel_tol * max(1.0, float(np.max(np.abs(cur)))):
-            return cur if arr.ndim else float(cur[0])
+        err = np.max(np.abs(cur - prev), initial=0.0)
+        if err <= rel_tol * max(1.0, float(np.max(np.abs(cur), initial=0.0))):
+            return cur
         prev = cur
     raise NumericalError(
         f"continuum quadrature did not converge (last refinement change {err:.3g}); "
@@ -224,8 +212,7 @@ def coherence_narrow(params: JcParams, stats: EnsembleStats, t):
     omega_mu = math.hypot(2.0 * params.g, delta_mu)
     if omega_mu == 0.0:
         raise DegenerateEigensystemError("mean-shifted doublet is degenerate")
-    half = omega_mu * arr / 2.0
-    rabi = np.sqrt(np.cos(half) ** 2 + (delta_mu / omega_mu) ** 2 * np.sin(half) ** 2)
+    rabi = _rabi_envelope(omega_mu * arr / 2.0, delta_mu / omega_mu)
     out = rabi * np.exp(-stats.sigma2 * arr**2 / 2.0)
     return out if arr.ndim else float(out)
 

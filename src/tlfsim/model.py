@@ -190,6 +190,79 @@ def _as_time(t):
     return arr
 
 
+def _rabi_envelope(x, r):
+    """sqrt(cos^2 x + r^2 sin^2 x): oscillates between 1 and |r|."""
+    return np.sqrt(np.cos(x) ** 2 + r**2 * np.sin(x) ** 2)
+
+
+# Largest work array, in elements, that one pass of the mixture kernel
+# allocates; bounds the memory of concurrent column threads.
+_WORK_ELEMENTS = 2**18
+
+
+def _uniform_block(t: np.ndarray) -> tuple[int, float]:
+    """Block length B and step h of an equispaced grid; (1, 0.0) for any other grid.
+
+    A grid counts as equispaced when every point lies within a few ulp of
+    max |t| of t_0 + n h, which np.linspace output always does.
+    """
+    n = t.size
+    if n < 3:
+        return 1, 0.0
+    h = (t[-1] - t[0]) / (n - 1)
+    if np.max(np.abs(t - (t[0] + h * np.arange(n)))) > 4.0 * np.spacing(np.max(np.abs(t))):
+        return 1, 0.0
+    return round(math.sqrt(n)), h
+
+
+def _phasors(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase), from one cos and one sin per element."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _mixture_coherence(g: float, delta: float, lam, w, t):
+    """|sum_k w_k exp(-i lam_k t) A_k(t)|, a weighted mixture of shifted JC amplitudes.
+
+    A_k(t) = cos(Omega_k t / 2) + i (d_k / Omega_k) sin(Omega_k t / 2) with
+    d_k = delta + 2 lam_k and Omega_k = sqrt(4 g^2 + d_k^2).  Splitting A_k
+    into e^{+/- i Omega_k t / 2} turns the sum into 2K plain exponentials
+    c_j e^{i omega_j t}, omega = -lam +/- Omega / 2, c = w (1 +/- d / Omega) / 2.
+
+    On an equispaced grid t_n = t_0 + n h, write n = b B + m with B ~ sqrt(T):
+    e^{i omega t_n} = e^{i omega t_{bB}} e^{i omega m h}, where t_{bB} are the
+    grid's own values, so the sum is one matrix product Z @ E^T of a (T/B, 2K)
+    and a (B, 2K) phasor table, costing (T/B + B) 2K exponentials.  Any other
+    grid takes the same path with B = 1.  Accepts a scalar or an array of any
+    shape and returns the same shape.
+    """
+    arr = _as_time(t)
+    flat = arr.ravel()
+    d = delta + 2.0 * lam
+    omega = np.hypot(2.0 * g, d)
+    if np.any(omega == 0.0):
+        raise DegenerateEigensystemError(
+            "a fluctuator configuration makes the shifted doublet degenerate"
+        )
+    ratio = d / omega
+    freq = np.concatenate([omega / 2.0 - lam, -omega / 2.0 - lam])
+    coef = np.concatenate([w * (1.0 + ratio), w * (1.0 - ratio)]) / 2.0
+    block, h = _uniform_block(flat)
+    coarse = flat[::block]
+    fine = np.arange(block) * h
+    total = np.zeros((coarse.size, block), dtype=complex)
+    chunk = max(1, _WORK_ELEMENTS // max(coarse.size, block))
+    for i in range(0, freq.size, chunk):
+        f = freq[i : i + chunk]
+        z = _phasors(np.multiply.outer(coarse, f))
+        z *= coef[i : i + chunk]
+        total += z @ _phasors(np.multiply.outer(fine, f)).T
+    out = np.abs(total).ravel()[: flat.size]
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+
 def coherence_gr(params: JcParams, t) -> np.ndarray | float:
     """Coherence of the bare oscillator--TLS system at time(s) t.
 
@@ -199,9 +272,7 @@ def coherence_gr(params: JcParams, t) -> np.ndarray | float:
     """
     eig = jc_eigensystem(params)
     arr = _as_time(t)
-    half = eig.omega * arr / 2.0
-    ratio2 = (params.delta / eig.omega) ** 2
-    out = np.sqrt(np.cos(half) ** 2 + ratio2 * np.sin(half) ** 2)
+    out = _rabi_envelope(eig.omega * arr / 2.0, params.delta / eig.omega)
     return out if arr.ndim else float(out)
 
 

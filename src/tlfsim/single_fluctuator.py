@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEigensystemError, InvalidInputError, RegimeWarning
-from .model import JcParams, ThermalContext, coherence_gr, thermal_population, _as_time
+from .errors import InvalidInputError, RegimeWarning
+from .model import (
+    JcParams,
+    ThermalContext,
+    coherence_gr,
+    thermal_population,
+    _as_time,
+    _mixture_coherence,
+    _rabi_envelope,
+)
 
 __all__ = [
     "TlfSpec",
@@ -52,39 +60,18 @@ class TlfSpec:
             raise InvalidInputError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 
 
-def _shifted_eigensystem(params: JcParams, alpha: int, lam: float) -> tuple[float, float]:
-    """(delta, Omega) of the JC system with the detuning shifted by 2*alpha*lam."""
-    delta = params.delta + 2.0 * alpha * lam
-    omega = math.hypot(2.0 * params.g, delta)
-    if omega == 0.0:
-        raise DegenerateEigensystemError(
-            f"shifted eigensystem degenerate for fluctuator state alpha={alpha:+d}"
-        )
-    return delta, omega
-
-
 def coherence_exact_single(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, t):
     """Exact four-frequency coherence for one non-dissipative fluctuator.
 
-    Thermally weighted sum over the two fluctuator states, each contributing a
-    JC coherence amplitude with detuning shifted by 2*alpha*lam and an extra
-    phase exp(-i alpha lam t).  Reduces to the bare JC result when lam = 0.
+    Thermally weighted sum over the two fluctuator states alpha = +/-1, each
+    contributing a JC coherence amplitude with detuning shifted by
+    2*alpha*lam and an extra phase exp(-i alpha lam t): the one-fluctuator
+    case of the ensemble's mixture kernel, i.e. four plain exponentials.
+    Reduces to the bare JC result when lam = 0.  Returns the shape of t.
     """
-    arr = _as_time(t)
     p_plus, p_minus = thermal_population(tlf.epsilon, ctx)
-    total = np.zeros(arr.shape, dtype=complex)
-    for alpha, p_alpha in ((+1, p_plus), (-1, p_minus)):
-        delta_a, omega_a = _shifted_eigensystem(params, alpha, tlf.lam)
-        half = omega_a * arr / 2.0
-        amp = np.cos(half) + 1j * (delta_a / omega_a) * np.sin(half)
-        total += p_alpha * np.exp(-1j * alpha * tlf.lam * arr) * amp
-    out = np.abs(total)
-    return out if arr.ndim else float(out)
-
-
-def _thermal_envelope(phase: np.ndarray, tanh_factor: float) -> np.ndarray:
-    """sqrt(cos^2 x + tanh^2 sin^2 x): oscillates between 1 and |tanh|."""
-    return np.sqrt(np.cos(phase) ** 2 + tanh_factor**2 * np.sin(phase) ** 2)
+    return _mixture_coherence(params.g, params.delta, np.array([tlf.lam, -tlf.lam]),
+                              np.array([p_plus, p_minus]), t)
 
 
 def coherence_weak_envelope(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, t):
@@ -108,7 +95,7 @@ def coherence_weak_envelope(params: JcParams, tlf: TlfSpec, ctx: ThermalContext,
         )
     arr = _as_time(t)
     th = ctx.tanh_factor(tlf.epsilon)
-    out = np.asarray(coherence_gr(params, arr)) * _thermal_envelope(tlf.lam * arr, th)
+    out = np.asarray(coherence_gr(params, arr)) * _rabi_envelope(tlf.lam * arr, th)
     return out if arr.ndim else float(out)
 
 
@@ -141,7 +128,7 @@ def coherence_strong_leading(params: JcParams, tlf: TlfSpec, ctx: ThermalContext
     _check_strong_regime(params, tlf)
     arr = _as_time(t)
     th = ctx.tanh_factor(tlf.epsilon)
-    out = _thermal_envelope(params.g**2 * arr / (2.0 * tlf.lam), th)
+    out = _rabi_envelope(params.g**2 * arr / (2.0 * tlf.lam), th)
     return out if arr.ndim else float(out)
 
 

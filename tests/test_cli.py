@@ -1,9 +1,14 @@
 """Command-line interface: validation, determinism, CSV and manifest output."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tlfsim
+from tlfsim import cli
 from tlfsim.cli import main, validate_config
 
 
@@ -74,6 +79,20 @@ class TestValidation:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
+
+    def test_unwritable_output_fails_before_evaluation(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("kernel evaluated before the output check")
+
+        for name in ("coherence_exact_ensemble", "coherence_broad_integral"):
+            monkeypatch.setattr(cli, name, not_called)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            rc = main(["figure", "6", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(out) in err
 
     def test_negative_coupling_rejected(self, tmp_path, capsys):
         rc = main(["jc-only", "--g", "-1", "--out", str(tmp_path / "x.csv")])
@@ -246,3 +265,14 @@ class TestThreads:
                    "--n-points", "10", "--t-max", "10"])
         assert rc == 2
         assert "TLFSIM_THREADS" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    def test_python_m_tlfsim(self):
+        src = os.path.dirname(os.path.dirname(tlfsim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "tlfsim", "validate", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "--config" in proc.stdout

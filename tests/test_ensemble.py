@@ -1,4 +1,5 @@
 """Frozen fluctuator ensembles: exact sum, continuum limit and samplers."""
+import cmath
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import tlfsim as ts
+from tlfsim import model
 from tlfsim.errors import (
     CapacityError,
     DegenerateEigensystemError,
@@ -73,8 +75,7 @@ class TestExactEnsemble:
         tlf = ts.TlfSpec(0.1, 0.013)
         t = np.linspace(0.0, 400.0, 300)
         ens_vals = ts.coherence_exact_ensemble(params, ts.TlfEnsemble([tlf], ss), t)
-        assert np.abs(ens_vals
-                      - ts.coherence_exact_single(params, tlf, ss, t)).max() < 1e-14
+        assert np.array_equal(ens_vals, ts.coherence_exact_single(params, tlf, ss, t))
 
     def test_three_tlf_matches_oracle(self, ss):
         g = 0.1
@@ -113,6 +114,106 @@ class TestExactEnsemble:
         ens = ts.TlfEnsemble([ts.TlfSpec(0.1, 0.0)], ss)
         with pytest.raises(DegenerateEigensystemError):
             ts.coherence_exact_ensemble(params, ens, 1.0)
+
+    def test_degenerate_single(self, ss):
+        with pytest.raises(DegenerateEigensystemError):
+            ts.coherence_exact_single(ts.JcParams(1.0, 1.0, 0.0), ts.TlfSpec(0.1, 0.0),
+                                      ss, 1.0)
+
+
+def brute_mixture(g, delta, lam, w, t):
+    """Per-point |sum_k w_k e^{-i lam_k t} (cos(W t/2) + i (d/W) sin(W t/2))|."""
+    out = []
+    for ti in t:
+        total = 0j
+        for lk, wk in zip(lam, w):
+            d = delta + 2.0 * lk
+            om = math.hypot(2.0 * g, d)
+            amp = complex(math.cos(om * ti / 2.0), d / om * math.sin(om * ti / 2.0))
+            total += wk * cmath.exp(-1j * lk * ti) * amp
+        out.append(abs(total))
+    return np.array(out)
+
+
+def nudged_linspace():
+    t = np.linspace(0.0, 400.0, 500)
+    t[137] += 1e-9
+    return t
+
+
+class TestMixtureKernel:
+    """The blocked 2K-exponential kernel against a per-point sum."""
+
+    @pytest.fixture
+    def mixture(self):
+        rng = np.random.default_rng(8)
+        lam = rng.uniform(-0.02, 0.02, 40)
+        w = rng.uniform(0.0, 1.0, 40)
+        return 0.1, 0.013, lam, w / w.sum()
+
+    @pytest.mark.parametrize("t", [
+        np.linspace(0.0, 400.0, 500),
+        np.linspace(3.0, 250.0, 97),
+        np.geomspace(1e-2, 400.0, 300),
+        nudged_linspace(),
+        np.array([123.4]),
+        np.array([7.0, 300.0]),
+    ], ids=["linspace", "offset-linspace", "geomspace", "nudged", "T1", "T2"])
+    @pytest.mark.parametrize("work", [None, 64], ids=["one-chunk", "many-chunks"])
+    def test_matches_per_point_sum(self, mixture, t, work, monkeypatch):
+        if work is not None:
+            monkeypatch.setattr(model, "_WORK_ELEMENTS", work)
+        vals = model._mixture_coherence(*mixture, t)
+        assert vals.shape == t.shape
+        assert np.abs(vals - brute_mixture(*mixture, t)).max() <= 1e-13
+
+    def test_grid_classification(self):
+        assert model._uniform_block(np.linspace(0.0, 400.0, 500))[0] == 22
+        assert model._uniform_block(np.geomspace(1e-2, 400.0, 300))[0] == 1
+        assert model._uniform_block(nudged_linspace())[0] == 1
+
+    def test_degenerate_term_raises(self):
+        with pytest.raises(DegenerateEigensystemError):
+            model._mixture_coherence(0.0, 0.02, np.array([0.01, -0.01]),
+                                     np.array([0.5, 0.5]), np.linspace(0, 1, 5))
+
+
+def _shape_cases():
+    params = ts.JcParams(1.0, 1.01, 0.1)
+    ss = ts.ThermalContext.scale_separated()
+    tlf = ts.TlfSpec(0.1, 0.01)
+    ens = uniform_ensemble(5, 0.005, ss, 3)
+    stats = ts.EnsembleStats(mu=0.001, sigma2=0.004**2)
+    return {
+        "single": lambda t: ts.coherence_exact_single(params, tlf, ss, t),
+        "ensemble": lambda t: ts.coherence_exact_ensemble(params, ens, t),
+        "continuum": lambda t: ts.coherence_continuum(params, stats, t),
+    }
+
+
+class TestTimeShapes:
+    """Scalar in, float out; any array in, the same shape out."""
+
+    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum"])
+    def test_scalar(self, name):
+        fn = _shape_cases()[name]
+        val = fn(50.0)
+        assert isinstance(val, float)
+        assert val == fn(np.array([50.0]))[0]
+
+    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum"])
+    @pytest.mark.parametrize("shape", [(12,), (3, 4), (2, 3, 2)])
+    def test_array(self, name, shape):
+        fn = _shape_cases()[name]
+        t = np.linspace(0.0, 200.0, 12)
+        vals = fn(t.reshape(shape))
+        assert vals.shape == shape
+        assert np.array_equal(vals.ravel(), fn(t))
+
+    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum"])
+    def test_empty(self, name):
+        vals = _shape_cases()[name](np.array([]))
+        assert vals.shape == (0,)
 
 
 class TestContinuum:
