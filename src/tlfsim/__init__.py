@@ -10,7 +10,6 @@ from .errors import (
     InvalidInputError,
     NumericalError,
     RegimeWarning,
-    StiffnessError,
     TlfsimError,
     UndefinedCoherenceError,
 )

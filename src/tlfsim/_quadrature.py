@@ -22,14 +22,23 @@ def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def oscillation_edges(lo: float, hi: float, freq: float, min_panels: int = 16,
-                      max_panels: int = 40000) -> np.ndarray:
+# Largest panel count oscillation_edges returns.
+MAX_PANELS = 40000
+
+
+def oscillation_panels(lo: float, hi: float, freq: float, min_panels: int = 16) -> float:
+    """Panels over [lo, hi] that each span at most ~pi/2 of a phase slope |freq|.
+
+    min_panels is added as a floor for non-oscillatory structure.  Returned as
+    a float, which is inf when the phase overflows.
+    """
+    return float(np.ceil((hi - lo) * abs(freq) / (np.pi / 2.0))) + min_panels
+
+
+def oscillation_edges(lo: float, hi: float, freq: float) -> np.ndarray:
     """Panel edges over [lo, hi] resolving a phase slope |freq| (rad per unit).
 
-    Panels are sized so each spans at most ~pi/2 of phase, with a floor of
-    min_panels for non-oscillatory structure.
+    Uses oscillation_panels, capped at MAX_PANELS.
     """
-    span = hi - lo
-    n = int(np.ceil(span * abs(freq) / (np.pi / 2.0))) + min_panels
-    n = min(n, max_panels)
+    n = int(min(oscillation_panels(lo, hi, freq), MAX_PANELS))
     return np.linspace(lo, hi, n + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc, exp1
 
-from ._quadrature import oscillation_edges, panel_nodes
+from ._quadrature import MAX_PANELS, oscillation_edges, oscillation_panels, panel_nodes
 from .errors import (
     CapacityError,
     DegenerateEigensystemError,
@@ -154,6 +154,10 @@ def _gaussian(stats: EnsembleStats, lam: np.ndarray) -> np.ndarray:
     )
 
 
+# Panel doublings coherence_continuum tries after its first evaluation.
+_CONTINUUM_REFINEMENTS = 3
+
+
 def coherence_continuum(
     params: JcParams, stats: EnsembleStats, t, rel_tol: float = 1e-8
 ):
@@ -165,7 +169,8 @@ def coherence_continuum(
     evaluation is the exact sum's mixture kernel with the quadrature nodes as
     inner products and the Gaussian-scaled weights as probabilities: 2K plain
     exponentials for K nodes, blocked on equispaced grids.  Returns the shape
-    of t.
+    of t.  Raises CapacityError, before any evaluation, when resolving the
+    phase at the largest t needs more panels than the last refinement reaches.
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_continuum requires sigma2 > 0")
@@ -173,6 +178,13 @@ def coherence_continuum(
     lo, hi = stats.mu - 8.0 * stats.sigma, stats.mu + 8.0 * stats.sigma
     t_max = float(np.max(arr, initial=0.0))
     # phase slope of exp(-i Lam t) exp(+/- i Omega(Lam) t / 2) is at most 2t
+    needed = oscillation_panels(lo, hi, 2.0 * t_max)
+    reach = MAX_PANELS * 2**_CONTINUUM_REFINEMENTS
+    if needed > reach:
+        raise CapacityError(
+            f"continuum quadrature needs {needed:.6g} panels to resolve t up to {t_max:.6g}; "
+            f"its refinements reach {reach}"
+        )
     edges = oscillation_edges(lo, hi, 2.0 * t_max)
 
     def evaluate(edges: np.ndarray):
@@ -181,7 +193,7 @@ def coherence_continuum(
         return _mixture_coherence(params.g, params.delta, nodes, wts, arr)
 
     prev = evaluate(edges)
-    for _ in range(3):
+    for _ in range(_CONTINUUM_REFINEMENTS):
         n = edges.size - 1
         edges = np.linspace(lo, hi, 2 * n + 1)
         cur = evaluate(edges)

@@ -21,10 +21,6 @@ class NumericalError(TlfsimError):
     """A numerical routine failed to converge to the requested tolerance."""
 
 
-class StiffnessError(NumericalError):
-    """An adaptive integrator underflowed its step size."""
-
-
 class UndefinedCoherenceError(TlfsimError):
     """The coherence measure is undefined because the initial amplitude vanishes."""
 

@@ -14,21 +14,25 @@ with basis (|e>, |g>) and tau_z = diag(+1, -1) with basis (|+>, |->).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 
 from .errors import (
     CapacityError,
     InvalidInputError,
     NumericalError,
-    StiffnessError,
     UndefinedCoherenceError,
 )
-from .model import CoherenceTrace, JcParams, ThermalContext, thermal_population
+from .model import (
+    CoherenceTrace,
+    JcParams,
+    ThermalContext,
+    _uniform_block,
+    thermal_population,
+)
 from .single_fluctuator import TlfSpec
 
 __all__ = [
@@ -90,7 +94,7 @@ class DenseState:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d = int(np.prod(self.dims))
+        d = math.prod(self.dims)
         if self.rho.shape != (d, d):
             raise InvalidInputError(f"rho shape {self.rho.shape} != ({d}, {d})")
 
@@ -181,25 +185,50 @@ def initial_state(
     return DenseState(rho=rho, dims=spec.dims)
 
 
+def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
+    t_arr = np.asarray(t_grid, dtype=float)
+    if (
+        t_arr.ndim != 1
+        or not np.all(np.isfinite(t_arr))
+        or np.any(np.diff(t_arr) < 0)
+        or np.any(t_arr < 0)
+    ):
+        raise InvalidInputError("t_grid must be a 1-D sorted, finite, nonnegative grid")
+    return t_arr
+
+
+# Time points per batched contraction; bounds the (chunk, d, d) work arrays.
+_CHUNK = 64
+
+
+def _dense_states(rho: np.ndarray, dims: tuple[int, ...]) -> list[DenseState]:
+    """One Hermitian-symmetrized DenseState per slice of a (T, d, d) stack."""
+    herm = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+    return [DenseState(rho=r, dims=dims) for r in herm]
+
+
 def evolve_unitary(
     h: np.ndarray, rho0: DenseState, t_grid: Sequence[float]
 ) -> list[DenseState]:
-    """Propagate rho(t) = U rho(0) U^dag with U from the eigendecomposition of H."""
-    t_arr = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_arr) < 0) or np.any(t_arr < 0):
-        raise InvalidInputError("t_grid must be sorted and nonnegative")
+    """Propagate rho(t) = U rho(0) U^dag with U from the eigendecomposition of H.
+
+    In the eigenbasis rho(t)_jk = e^{-i (E_j - E_k) t} rho(0)_jk, so each chunk
+    of time points is one elementwise product and two batched matrix products.
+    """
+    t_arr = _time_grid(t_grid)
     try:
         evals, vecs = eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericalError(
             f"eigendecomposition failed (cond ~ {np.linalg.cond(h):.3g}): {exc}"
         ) from exc
-    rho_eig = vecs.conj().T @ rho0.rho @ vecs
-    out = []
-    for t in t_arr:
-        phases = np.exp(-1j * evals * t)
-        rho_t = vecs @ (np.outer(phases, phases.conj()) * rho_eig) @ vecs.conj().T
-        out.append(DenseState(rho=(rho_t + rho_t.conj().T) / 2.0, dims=rho0.dims))
+    vecs_h = vecs.conj().T
+    rho_eig = vecs_h @ rho0.rho @ vecs
+    out: list[DenseState] = []
+    for i in range(0, t_arr.size, _CHUNK):
+        phases = np.exp(-1j * np.multiply.outer(t_arr[i : i + _CHUNK], evals))
+        rot = phases[:, :, None] * rho_eig * phases.conj()[:, None, :]
+        out += _dense_states(vecs @ rot @ vecs_h, rho0.dims)
     return out
 
 
@@ -224,24 +253,23 @@ def evolve_lindblad(
     gamma: float,
     rho0: DenseState,
     t_grid: Sequence[float],
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
 ) -> list[DenseState]:
-    """Integrate the local Lindblad equation for a single dissipative fluctuator.
+    """Propagate the local Lindblad equation for a single dissipative fluctuator.
 
     Equal upward and downward fluctuator rates gamma (scale-separated regime).
-    The stiff fast phases at the bare frequencies are removed by integrating in
-    the frame of the free Hamiltonian (which leaves the dissipator invariant)
-    and rotating back at the grid points, so the adaptive steps are set by the
-    slow scales g, lam, delta and gamma.
+    In the frame of the free Hamiltonian (which leaves the dissipator invariant)
+    the superoperator L is constant, so the state is carried exactly from grid
+    point to grid point, y_k = expm((t_k - t_{k-1}) L) y_{k-1} from t = 0, and
+    rotated back to the lab frame at each point.  One step matrix serves every
+    interval of an equispaced grid and every repeat of an interval elsewhere.
+    Chained step matrices are used instead of diagonalizing L, whose
+    eigenvectors are ill-conditioned near exceptional points.
     """
     if gamma < 0:
         raise InvalidInputError(f"gamma must be >= 0, got {gamma}")
     if len(rho0.dims) != 3:
         raise InvalidInputError("evolve_lindblad supports exactly one fluctuator")
-    t_arr = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_arr) < 0) or np.any(t_arr < 0):
-        raise InvalidInputError("t_grid must be sorted and nonnegative")
+    t_arr = _time_grid(t_grid)
     spec = HilbertSpec(n_osc=rho0.dims[0], n_tlf=1)
     h = build_hamiltonian(params, [tlf], spec)
 
@@ -260,30 +288,28 @@ def evolve_lindblad(
     tau_p = _site_operator(spec, 2, _SIGMA_PLUS)
     sup = _lindblad_superoperator(h_rot, [sqrt_g * tau_m, sqrt_g * tau_p])
 
-    y0 = rho0.rho.flatten(order="F")
-    sol = solve_ivp(
-        lambda _t, y: sup @ y,
-        (0.0, float(t_arr[-1]) if t_arr[-1] > 0 else 1e-12),
-        y0,
-        method="DOP853",
-        t_eval=t_arr if t_arr[-1] > 0 else None,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"Lindblad integration failed at t ~ {sol.t[-1]:.6g}: {sol.message}"
-        )
+    steps = np.diff(t_arr, prepend=0.0)
+    _, h_step = _uniform_block(t_arr)
+    if h_step > 0:
+        steps[1:] = h_step
+    step_matrices: dict[float, np.ndarray] = {}
     d = spec.dim
-    out = []
-    for k, t in enumerate(t_arr):
-        if t_arr[-1] > 0:
-            rho_rot = sol.y[:, k].reshape((d, d), order="F")
-        else:
-            rho_rot = rho0.rho
-        phases = np.exp(-1j * e0 * t)
-        rho_lab = (phases[:, None] * rho_rot) * phases.conj()[None, :]
-        out.append(DenseState(rho=(rho_lab + rho_lab.conj().T) / 2.0, dims=rho0.dims))
+    # Row k holds the column-stacked vec(rho_rot(t_k)), i.e. rho_rot(t_k)^T.
+    ys = np.empty((t_arr.size, d * d), dtype=complex)
+    y = rho0.rho.flatten(order="F")
+    for k, dt in enumerate(steps):
+        if dt not in step_matrices:
+            step_matrices[dt] = expm(dt * sup)
+        y = step_matrices[dt] @ y
+        ys[k] = y
+    if not np.all(np.isfinite(ys)):
+        raise NumericalError("Lindblad propagation produced non-finite values")
+    out: list[DenseState] = []
+    for i in range(0, t_arr.size, _CHUNK):
+        phases = np.exp(-1j * np.multiply.outer(t_arr[i : i + _CHUNK], e0))
+        rho_rot = ys[i : i + _CHUNK].reshape(-1, d, d).transpose(0, 2, 1)
+        rho_lab = phases[:, :, None] * rho_rot * phases.conj()[:, None, :]
+        out += _dense_states(rho_lab, rho0.dims)
     return out
 
 
@@ -296,12 +322,20 @@ def expect_a(state: DenseState) -> complex:
 def coherence_from_state(
     states: Sequence[DenseState], a0_expectation: complex, t_grid: Sequence[float]
 ) -> CoherenceTrace:
-    """Normalized coherence |tr(a rho(t))| / |<a(0)>| along a trajectory."""
+    """Normalized coherence |tr(a rho(t))| / |<a(0)>| along a trajectory.
+
+    tr(a rho) = sum_jk a_jk rho_kj is one matrix-vector product of the stacked,
+    flattened states with vec(a^T), taken in chunks of time points.
+    """
     if a0_expectation == 0:
         raise UndefinedCoherenceError("initial expectation <a(0)> vanishes")
-    spec = HilbertSpec(n_osc=states[0].dims[0], n_tlf=len(states[0].dims) - 2)
-    a_full = annihilation_full(spec)
-    values = np.array([abs(np.trace(a_full @ s.rho)) for s in states])
+    values = np.empty(len(states))
+    if states:
+        spec = HilbertSpec(n_osc=states[0].dims[0], n_tlf=len(states[0].dims) - 2)
+        a_vec = annihilation_full(spec).T.ravel()
+        for i in range(0, len(states), _CHUNK):
+            stack = np.stack([s.rho for s in states[i : i + _CHUNK]])
+            values[i : i + _CHUNK] = np.abs(stack.reshape(len(stack), -1) @ a_vec)
     return CoherenceTrace(
         t=np.asarray(t_grid, dtype=float),
         values=values / abs(a0_expectation),

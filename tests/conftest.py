@@ -30,9 +30,9 @@ def oracle_ensemble_trace(params, tlfs, ctx, t_grid):
     return ts.coherence_from_state(states, ts.expect_a(states[0]), t_grid)
 
 
-def oracle_lindblad_trace(params, tlf, gamma, ctx, t_grid, **kw):
+def oracle_lindblad_trace(params, tlf, gamma, ctx, t_grid):
     """Dense Lindblad evolution with one dissipative fluctuator."""
     spec = ts.HilbertSpec(n_osc=2, n_tlf=1)
     rho0 = ts.initial_state(1 / math.sqrt(2), 1 / math.sqrt(2), [tlf], ctx, spec)
-    states = ts.evolve_lindblad(params, tlf, gamma, rho0, t_grid, **kw)
+    states = ts.evolve_lindblad(params, tlf, gamma, rho0, t_grid)
     return ts.coherence_from_state(states, ts.expect_a(states[0]), t_grid)

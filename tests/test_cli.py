@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ class TestValidation:
                    "--n-points", "10"])
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_unresolvable_continuum_fails_fast(self, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = main(["continuum", "--t-max", "1e7", "--n-points", "1000",
+                   "--methods", "continuum", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert time.perf_counter() - start < 5.0
+        assert "panels" in capsys.readouterr().err
 
 
 class TestDeterminism:

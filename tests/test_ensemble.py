@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tlfsim as ts
-from tlfsim import model
+from tlfsim import ensemble, model
 from tlfsim.errors import (
     CapacityError,
     DegenerateEigensystemError,
@@ -245,6 +245,27 @@ class TestContinuum:
         with pytest.raises(InvalidInputError):
             ts.coherence_continuum(ts.JcParams(1.0, 1.0, 0.1),
                                    ts.EnsembleStats(mu=0.0, sigma2=0.0), 1.0)
+
+    def test_unresolvable_phase_fails_before_evaluation(self, monkeypatch):
+        # 16 sigma * 2 t / (pi/2) panels are needed; the last refinement
+        # reaches 8 * 40000, so t = 1e7 at sigma = 0.03 is out of reach
+        def evaluated(*args):
+            raise AssertionError("quadrature evaluated past its panel reach")
+
+        monkeypatch.setattr(ensemble, "_mixture_coherence", evaluated)
+        stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
+        with pytest.raises(CapacityError):
+            ts.coherence_continuum(ts.JcParams(1.0, 1.0, 0.01), stats, [0.0, 1e7])
+
+    def test_largest_reachable_time_evaluates(self):
+        sigma = 0.03
+        # the largest t whose phase the last refinement still resolves
+        t_edge = (8 * 40000 - 16) * (math.pi / 2) / (32 * sigma)
+        stats = ts.EnsembleStats(mu=0.0, sigma2=sigma**2)
+        vals = ts.coherence_continuum(ts.JcParams(1.0, 1.0, 0.01), stats,
+                                      [0.0, t_edge])
+        assert vals[0] == pytest.approx(1.0, abs=1e-8)
+        assert np.all(np.isfinite(vals))
 
 
 class TestNarrow:
