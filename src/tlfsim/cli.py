@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -79,11 +80,13 @@ def _f(lo=None, hi=None, lo_open=False):
     return parse
 
 
-def _i(lo=None):
+def _i(lo=None, hi=None):
     def parse(s: str) -> int:
         x = int(s)
         if lo is not None and x < lo:
             raise ValueError(f"must be >= {lo}")
+        if hi is not None and x > hi:
+            raise ValueError(f"must be <= {hi}")
         return x
     return parse
 
@@ -95,6 +98,12 @@ def _choice(*options):
         return s
     return parse
 
+
+# The run keys every scenario shares; the figure flags use the same parsers.
+MAX_POINTS = 10**6
+_T_MAX = _f(lo=0, lo_open=True)
+_N_POINTS = _i(lo=2, hi=MAX_POINTS)
+_SEED = _i(lo=0)
 
 SCHEMAS = {
     "jc-only": {
@@ -161,24 +170,6 @@ DEFAULT_T_MAX = {
     "micro": 1.0,  # unused; micro scans kT, not time
 }
 
-DEFAULT_METHODS = {
-    "jc-only": ["gr"],
-    "single-tlf": ["exact"],
-    "dissipative": ["ode"],
-    "ensemble": ["exact"],
-    "continuum": ["continuum"],
-    "micro": ["variance"],
-}
-
-METHOD_TAGS = {
-    "jc-only": ("gr", "gr_short"),
-    "single-tlf": ("exact", "weak_envelope", "strong_leading", "strong_higher"),
-    "dissipative": ("ode", "weak_damped", "strong_damped"),
-    "ensemble": ("exact", "narrow", "continuum", "envelope"),
-    "continuum": ("continuum", "narrow", "broad", "erfc", "linear"),
-    "micro": ("variance", "stderr"),
-}
-
 
 @dataclass
 class Scenario:
@@ -195,6 +186,9 @@ class Scenario:
 
     @property
     def t_grid(self) -> np.ndarray:
+        """The CSV's first column: the time grid, or micro's kT scan."""
+        if self.kind == "micro":
+            return np.linspace(self.params["ktMin"], self.params["ktMax"], self.n_points)
         return np.linspace(0.0, self.t_max, self.n_points)
 
     @property
@@ -249,21 +243,21 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     for key, (parse, default, _help) in SCHEMAS[kind].items():
         params[key] = take(key, parse, default)
 
-    t_max = take("tGrid.tMax", _f(lo=0, lo_open=True), _REQ)
-    n_points = take("tGrid.nPoints", _i(lo=2), _REQ)
-    seed = take("seed", _i(lo=0), 0)
+    t_max = take("tGrid.tMax", _T_MAX, _REQ)
+    n_points = take("tGrid.nPoints", _N_POINTS, _REQ)
+    seed = take("seed", _SEED, 0)
     profile = take("toleranceProfile", _choice(*TOLERANCE_PROFILES), "default")
     methods_text = raw.pop("methods", None)
     if methods_text is None:
-        methods = list(DEFAULT_METHODS[kind])
+        methods = [next(iter(METHODS[kind]))]
     else:
         methods = [m.strip() for m in methods_text.split(",") if m.strip()]
         if not methods:
             errors.append("methods: empty list")
     for tag in methods:
-        if tag not in METHOD_TAGS[kind]:
+        if tag not in METHODS[kind]:
             errors.append(f"methods: {tag!r} is not defined for kind {kind!r}; "
-                          f"known tags: {', '.join(METHOD_TAGS[kind])}")
+                          f"known tags: {', '.join(METHODS[kind])}")
 
     if kind == "ensemble" and params.get("boxLo") and params.get("boxHi"):
         if params["boxLo"] >= params["boxHi"]:
@@ -279,12 +273,6 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     return Scenario(kind=kind, params=params, t_max=t_max, n_points=n_points,
                     seed=seed, methods=methods,
                     tolerance_profile=profile), []
-
-
-def _thermal_context(kt: float | None) -> ThermalContext:
-    if kt is None:
-        return ThermalContext.scale_separated()
-    return ThermalContext.finite_temperature(kt)
 
 
 def _max_workers() -> int:
@@ -310,267 +298,220 @@ def _evaluate(columns: list[tuple[str, object]]) -> list[tuple[str, np.ndarray]]
         return [(tag, np.asarray(fut.result())) for tag, fut in futures]
 
 
-def _ensemble_from_scenario(sc: Scenario, rng: np.random.Generator) -> TlfEnsemble:
-    p = sc.params
-    ctx = _thermal_context(p["kT"])
-    if p["sampler"] == "uniform":
-        tlfs = sample_uniform_couplings(p["n"], p["halfWidth"], rng)
-    else:
-        tlfs = sample_spatial_couplings(p["n"], p["dim"], (p["boxLo"], p["boxHi"]),
-                                        p["w"], p["g"], rng)
-    return TlfEnsemble(tlfs, ctx, cap=p["cap"])
+# ---------------------------------------------------------------------------
+# Scenario evaluation: one setup per kind, one registry of method columns.
 
 
-def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndarray]], dict]:
-    """First column, method columns and manifest extras for a scenario."""
-    p = sc.params
-    t = sc.t_grid
-    tol = sc.tolerances
-    extras: dict[str, object] = {}
-    thunks: list[tuple[str, object]] = []
-
-    if sc.kind == "micro":
+def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple[dict, dict]:
+    """A scenario's parameters plus the objects its methods share, and the
+    values it resolves for the manifest.  Sampling draws from ``rng``; micro
+    runs its Monte-Carlo estimate at each kT of ``t``."""
+    s, resolved = dict(p), {}
+    if "omega0" in p:
+        s["jc"] = JcParams(p["omega0"], p["omega0"] + p["delta"], p["g"])
+    if "kT" in p:
+        s["ctx"] = (ThermalContext.scale_separated() if p["kT"] is None
+                    else ThermalContext.finite_temperature(p["kT"]))
+    if kind == "single-tlf":
+        s["tlf"] = TlfSpec(epsilon=p["eps"], lam=p["lambda"])
+    elif kind == "dissipative":
+        s["rates"] = (p["g"], p["lambda"], p["gamma"])
+        resolved["regime"] = classify_regime(*s["rates"]).value
+    elif kind == "ensemble":
+        if p["sampler"] == "uniform":
+            tlfs = sample_uniform_couplings(p["n"], p["halfWidth"], rng)
+        else:
+            tlfs = sample_spatial_couplings(p["n"], p["dim"], (p["boxLo"], p["boxHi"]),
+                                            p["w"], p["g"], rng)
+        s["ens"] = TlfEnsemble(tlfs, s["ctx"], cap=p["cap"])
+        stats = s["stats"] = ensemble_stats(s["ens"])
+        resolved.update({"mu": stats.mu, "sigma": stats.sigma, "R": stats.r,
+                         "couplings": ",".join(f"{tlf.lam:.17g}" for tlf in tlfs)})
+    elif kind == "continuum":
+        s["stats"] = EnsembleStats(mu=p["mu"], sigma2=p["sigma"] ** 2)
+    elif kind == "micro":
         mat = MaterialParams(chi=p["chi"], d=p["d"], j0=p["j0"], r0=p["r0"],
                              cos_theta=p["cosTheta"])
-        kts = np.linspace(p["ktMin"], p["ktMax"], sc.n_points)
-        rng = np.random.default_rng(sc.seed)
-        seeds = rng.integers(0, 2**63 - 1, size=kts.size)
-        estimates = [
+        seeds = rng.integers(0, 2**63 - 1, size=t.size)
+        s["estimates"] = [
             average_variance_mc(mat, p["density"], p["uMin"], p["epsMax"], p["rMax"],
-                                kt, p["nSamples"], np.random.default_rng(s))
-            for kt, s in zip(kts, seeds)
+                                kt, p["nSamples"], np.random.default_rng(seed))
+            for kt, seed in zip(t, seeds)
         ]
-        cols = []
-        if "variance" in sc.methods:
-            cols.append(("variance", np.array([e.value for e in estimates])))
-        if "stderr" in sc.methods:
-            cols.append(("stderr", np.array([e.stderr for e in estimates])))
-        extras["truncationRemainder"] = estimates[0].truncation_remainder
-        extras["scanVariable"] = "kT"
-        return kts, cols, extras
+        resolved["truncationRemainder"] = s["estimates"][0].truncation_remainder
+        resolved["scanVariable"] = "kT"
+    return s, resolved
 
-    if sc.kind == "jc-only":
-        params = JcParams(p["omega0"], p["omega0"] + p["delta"], p["g"])
-        fns = {"gr": lambda: coherence_gr(params, t),
-               "gr_short": lambda: coherence_gr_short_time(p["g"], t)}
-    elif sc.kind == "single-tlf":
-        params = JcParams(p["omega0"], p["omega0"] + p["delta"], p["g"])
-        tlf = TlfSpec(epsilon=p["eps"], lam=p["lambda"])
-        ctx = _thermal_context(p["kT"])
-        fns = {
-            "exact": lambda: coherence_exact_single(params, tlf, ctx, t),
-            "weak_envelope": lambda: coherence_weak_envelope(params, tlf, ctx, t),
-            "strong_leading": lambda: coherence_strong_leading(params, tlf, ctx, t),
-            "strong_higher": lambda: coherence_strong_higher(params, tlf, ctx, t),
-        }
-    elif sc.kind == "dissipative":
-        g, lam, gamma = p["g"], p["lambda"], p["gamma"]
-        extras["regime"] = classify_regime(g, lam, gamma).value
-        fns = {
-            "ode": lambda: integrate_reduced(g, lam, gamma, t).values,
-            "weak_damped": lambda: coherence_weak_damped(g, lam, gamma, t),
-            "strong_damped": lambda: coherence_strong_damped(g, lam, gamma, t),
-        }
-    elif sc.kind == "ensemble":
-        params = JcParams(p["omega0"], p["omega0"] + p["delta"], p["g"])
-        rng = np.random.default_rng(sc.seed)
-        ens = _ensemble_from_scenario(sc, rng)
-        stats = ensemble_stats(ens)
-        extras.update({"mu": stats.mu, "sigma": stats.sigma, "R": stats.r,
-                       "couplings": ",".join(f"{tlf.lam:.17g}" for tlf in ens.tlfs)})
-        fns = {
-            "exact": lambda: coherence_exact_ensemble(params, ens, t),
-            "narrow": lambda: coherence_narrow(params, stats, t),
-            "continuum": lambda: coherence_continuum(params, stats, t,
-                                                     rel_tol=tol["quad_rel_tol"]),
-            "envelope": lambda: np.exp(-stats.sigma2 * t**2 / 2.0),
-        }
-    elif sc.kind == "continuum":
-        params = JcParams(p["omega0"], p["omega0"] + p["delta"], p["g"])
-        stats = EnsembleStats(mu=p["mu"], sigma2=p["sigma"] ** 2)
-        fns = {
-            "continuum": lambda: coherence_continuum(params, stats, t,
-                                                     rel_tol=tol["quad_rel_tol"]),
-            "narrow": lambda: coherence_narrow(params, stats, t),
-            "broad": lambda: coherence_broad_integral(p["g"], stats, t,
-                                                      rel_tol=tol["broad_rel_tol"]),
-            "erfc": lambda: coherence_broad_erfc(p["g"], stats, t),
-            "linear": lambda: coherence_broad_linear(p["g"], stats, t),
-        }
-    else:  # pragma: no cover - kinds are closed by validation
-        raise InvalidInputError(f"unknown kind {sc.kind!r}")
 
-    for tag in sc.methods:
-        thunks.append((tag, fns[tag]))
-    return t, _evaluate(thunks), extras
+def _continuum(s, t, tol):
+    return coherence_continuum(s["jc"], s["stats"], t, rel_tol=tol["quad_rel_tol"])
+
+
+def _narrow(s, t, tol):
+    return coherence_narrow(s["jc"], s["stats"], t)
+
+
+def _broad(s, t, tol):
+    return coherence_broad_integral(s["g"], s["stats"], t, rel_tol=tol["broad_rel_tol"])
+
+
+# kind -> method tag -> f(setup, t, tolerances); a kind's first tag is its
+# default.  Kernels are looked up when called, so one replaced on this module
+# (a tracer, a test) is the one that runs.
+METHODS = {
+    "jc-only": {
+        "gr": lambda s, t, _: coherence_gr(s["jc"], t),
+        "gr_short": lambda s, t, _: coherence_gr_short_time(s["g"], t),
+    },
+    "single-tlf": {
+        "exact": lambda s, t, _: coherence_exact_single(s["jc"], s["tlf"], s["ctx"], t),
+        "weak_envelope": lambda s, t, _: coherence_weak_envelope(s["jc"], s["tlf"], s["ctx"], t),
+        "strong_leading": lambda s, t, _: coherence_strong_leading(s["jc"], s["tlf"], s["ctx"], t),
+        "strong_higher": lambda s, t, _: coherence_strong_higher(s["jc"], s["tlf"], s["ctx"], t),
+    },
+    "dissipative": {
+        "ode": lambda s, t, _: integrate_reduced(*s["rates"], t).values,
+        "weak_damped": lambda s, t, _: coherence_weak_damped(*s["rates"], t),
+        "strong_damped": lambda s, t, _: coherence_strong_damped(*s["rates"], t),
+    },
+    "ensemble": {
+        "exact": lambda s, t, _: coherence_exact_ensemble(s["jc"], s["ens"], t),
+        "narrow": _narrow,
+        "continuum": _continuum,
+        "envelope": lambda s, t, _: np.exp(-s["stats"].sigma2 * t**2 / 2.0),
+        "broad": _broad,
+    },
+    "continuum": {
+        "continuum": _continuum,
+        "narrow": _narrow,
+        "broad": _broad,
+        "erfc": lambda s, t, _: coherence_broad_erfc(s["g"], s["stats"], t),
+        "linear": lambda s, t, _: coherence_broad_linear(s["g"], s["stats"], t),
+    },
+    "micro": {
+        "variance": lambda s, t, _: np.array([e.value for e in s["estimates"]]),
+        "stderr": lambda s, t, _: np.array([e.stderr for e in s["estimates"]]),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
 # Figure presets.  Scenario parameters are encoded verbatim; values a preset
 # has to choose itself (sweep ratios, splitting lists, sigma targets) are our
-# defaults and are flagged in the manifest via the returned notes.
+# defaults and are flagged in the manifest under ``resolved.defaultNote``.
 
 
-def _fig_grid(sc: Scenario, t_max: float) -> np.ndarray:
-    if sc.notes.get("tMaxOverridden"):
-        t_max = sc.t_max
-    return np.linspace(0.0, t_max, sc.n_points)
+@dataclass(frozen=True)
+class Figure:
+    """A preset: its grid end, its fixed ``resolved.*`` values, the scenarios
+    it draws in rng order as (kind, params, {resolved key: manifest name}), and
+    its CSV columns as (name, scenario index, method tag)."""
+
+    t_max: float
+    resolved: dict
+    scenarios: list
+    columns: list
 
 
-def _figure_1(sc: Scenario):
-    params = JcParams(1.0, 1.01, 0.1)
-    tlf = TlfSpec(epsilon=0.1, lam=0.01)
-    ctx = ThermalContext.scale_separated()
-    t = _fig_grid(sc, 400.0)
-    cols = _evaluate([
-        ("exact", lambda: coherence_exact_single(params, tlf, ctx, t)),
-        ("weak_envelope", lambda: coherence_weak_envelope(params, tlf, ctx, t)),
-    ])
-    return t, cols, {"epsilonT": 1.01, "eps": 0.1, "g": 0.1, "lambda": 0.01,
-                     "thermal": "scale-separated"}
+_SPATIAL = {"sampler": "spatial", "dim": 2, "boxLo": 1.0, "boxHi": 10.0}
+_FROZEN = (("exact", "exact"), ("narrow", "narrow"), ("env", "envelope"))
+
+FIGURES = {
+    1: Figure(
+        400.0,
+        {"epsilonT": 1.01, "eps": 0.1, "g": 0.1, "lambda": 0.01, "thermal": "scale-separated"},
+        [("single-tlf", {"delta": 0.01, "g": 0.1, "lambda": 0.01, "eps": 0.1}, {})],
+        [("exact", 0, "exact"), ("weak_envelope", 0, "weak_envelope")]),
+    2: Figure(
+        1500.0,
+        {"lambda": 0.1, "delta": 0.0, "gOverLambda": "0.3,0.2,0.1", "eps": 0.1,
+         "thermal": "scale-separated",
+         "defaultNote": "eps = 0.1 is our default; the scenario fixes only the "
+                        "scale-separated limit"},
+        [("single-tlf", {"g": r * 0.1, "lambda": 0.1, "eps": 0.1}, {}) for r in (0.3, 0.2, 0.1)],
+        [(f"{name}_{r:g}", i, method) for i, r in enumerate((0.3, 0.2, 0.1))
+         for name, method in (("exact", "exact"), ("leading", "strong_leading"),
+                              ("higher", "strong_higher"))]),
+    3: Figure(
+        5000.0,
+        {"ga": (0.1, 0.01), "gb": (0.01, 0.1), "gammaOverLambda": "0.2,1,5",
+         "defaultNote": "gamma/lambda sweep values are our default; the scenario "
+                        "fixes only the two coupling sets"},
+        [("dissipative", {"g": g, "lambda": lam, "gamma": r * lam}, {})
+         for r in (0.2, 1.0, 5.0) for g, lam in ((0.1, 0.01), (0.01, 0.1))],
+        [(f"{name}_{r:g}", 2 * i + b, method) for i, r in enumerate((0.2, 1.0, 5.0))
+         for name, b, method in (("ode_a", 0, "ode"), ("weak_a", 0, "weak_damped"),
+                                 ("ode_b", 1, "ode"), ("strong_b", 1, "strong_damped"))]),
+    4: Figure(
+        500.0,
+        {"g": 0.1, "halfWidth": 0.05 * 0.1, "thermal": "scale-separated",
+         "defaultNote": "TLF splittings drawn from our default range; "
+                        "the scenario gives no splitting list"},
+        [("ensemble", {"g": 0.1, "n": n, "halfWidth": 0.05 * 0.1}, {"sigma": f"sigma_n{n}"})
+         for n in (5, 10, 15)],
+        [(f"{name}_n{n}", i, tag) for i, n in enumerate((5, 10, 15)) for name, tag in _FROZEN]),
+    5: Figure(
+        500.0,
+        {"g": 0.1, "n": 15, "box": "[1,10]^2", "thermal": "scale-separated"},
+        [("ensemble", {"g": 0.1, "n": 15, "w": 1.0, **_SPATIAL},
+          {"sigma": f"sigma_s{k}", "R": f"R_s{k}"}) for k in (1, 2, 3)],
+        [(f"{name}_s{k}", k - 1, tag) for k in (1, 2, 3) for name, tag in _FROZEN]),
+    6: Figure(
+        1000.0,
+        {"g": 0.01, "halfWidth": 5 * 0.01, "thermal": "scale-separated"},
+        [scenario for n, w in ((5, 200.0), (15, 50.0)) for scenario in [
+            ("ensemble", {"g": 0.01, "n": n, "halfWidth": 5 * 0.01},
+             {"sigma": f"sigma_n{n}", "R": f"R_n{n}"}),
+            *[("ensemble", {"g": 0.01, "n": n, "w": w, **_SPATIAL}, {"R": f"R_n{n}_s{k}"})
+              for k in (1, 2, 3)]]],
+        [column for i, n in ((0, 5), (4, 15)) for column in [
+            (f"uniform_n{n}", i, "exact"),
+            *[(f"spatial_n{n}_s{k}", i + k, "exact") for k in (1, 2, 3)],
+            (f"broad_n{n}", i, "broad")]]),
+    7: Figure(
+        600.0,
+        {"g": 0.01, "sigma": 3 * 0.01, "muOverSigma": "0,0.5,1",
+         "defaultNote": "sigma = 3g and the mu/sigma sweep are our defaults; "
+                        "the scenario gives neither"},
+        [("continuum", {"g": 0.01, "mu": x * (3 * 0.01), "sigma": 3 * 0.01}, {})
+         for x in (0.0, 0.5, 1.0)],
+        [("broad_mu0", 0, "broad"), ("broad_mu0.5", 1, "broad"), ("broad_mu1", 2, "broad"),
+         ("erfc", 0, "erfc"), ("linear", 0, "linear")]),
+}
 
 
-def _figure_2(sc: Scenario):
-    lam = 0.1
-    ctx = ThermalContext.scale_separated()
-    t = _fig_grid(sc, 1500.0)
-    thunks = []
-    for ratio in (0.3, 0.2, 0.1):
-        params = JcParams(1.0, 1.0, ratio * lam)
-        tlf = TlfSpec(epsilon=0.1, lam=lam)
-        thunks += [
-            (f"exact_{ratio:g}",
-             lambda p=params, f=tlf: coherence_exact_single(p, f, ctx, t)),
-            (f"leading_{ratio:g}",
-             lambda p=params, f=tlf: coherence_strong_leading(p, f, ctx, t)),
-            (f"higher_{ratio:g}",
-             lambda p=params, f=tlf: coherence_strong_higher(p, f, ctx, t)),
-        ]
-    return t, _evaluate(thunks), {"lambda": lam, "delta": 0.0, "gOverLambda": "0.3,0.2,0.1",
-                                  "eps": 0.1, "thermal": "scale-separated",
-                                  "defaultNote": "eps = 0.1 is our default; the scenario "
-                                                 "fixes only the scale-separated limit"}
+def _preset_params(kind: str, params: dict) -> dict:
+    """A preset scenario's parameters, checked and completed by its schema."""
+    raw = _default_grid({key: str(value) for key, value in params.items()}, kind)
+    sc, errors = validate_config(raw, kind)
+    if errors:  # pragma: no cover - the presets are fixed data
+        raise InvalidInputError(f"figure preset {kind}: {'; '.join(errors)}")
+    return sc.params
 
 
-def _figure_3(sc: Scenario):
-    ratios = (0.2, 1.0, 5.0)
-    t = _fig_grid(sc, 5000.0)
-    thunks = []
-    for r in ratios:
-        ga, gb = r * 0.01, r * 0.1
-        thunks += [
-            (f"ode_a_{r:g}", lambda gm=ga: integrate_reduced(0.1, 0.01, gm, t).values),
-            (f"weak_a_{r:g}", lambda gm=ga: coherence_weak_damped(0.1, 0.01, gm, t)),
-            (f"ode_b_{r:g}", lambda gm=gb: integrate_reduced(0.01, 0.1, gm, t).values),
-            (f"strong_b_{r:g}", lambda gm=gb: coherence_strong_damped(0.01, 0.1, gm, t)),
-        ]
-    return t, _evaluate(thunks), {"ga": (0.1, 0.01), "gb": (0.01, 0.1),
-                                  "gammaOverLambda": "0.2,1,5",
-                                  "defaultNote": "gamma/lambda sweep values are our "
-                                                 "default; the scenario fixes only the "
-                                                 "two coupling sets"}
-
-
-def _figure_4(sc: Scenario):
-    g = 0.1
-    params = JcParams(1.0, 1.0, g)
-    ctx = ThermalContext.scale_separated()
+def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndarray]], dict]:
+    """First column, method columns and manifest extras of a subcommand run or
+    a figure preset; a preset's scenarios share one rng, in order."""
+    if sc.kind == "figure":
+        fig = FIGURES[sc.params["index"]]
+        scenarios = [(kind, _preset_params(kind, p), names) for kind, p, names in fig.scenarios]
+        columns, resolved = fig.columns, {**fig.resolved, "figure": sc.params["index"]}
+    else:
+        scenarios = [(sc.kind, sc.params, None)]
+        columns, resolved = [(tag, 0, tag) for tag in sc.methods], {}
+    t = sc.t_grid
+    if sc.kind == "figure" and not sc.notes.get("tMaxOverridden"):
+        t = np.linspace(0.0, fig.t_max, sc.n_points)
     rng = np.random.default_rng(sc.seed)
-    t = _fig_grid(sc, 500.0)
-    thunks = []
-    sigmas = {}
-    for n in (5, 10, 15):
-        tlfs = sample_uniform_couplings(n, 0.05 * g, rng)
-        ens = TlfEnsemble(tlfs, ctx)
-        stats = ensemble_stats(ens)
-        sigmas[n] = stats.sigma
-        thunks += [
-            (f"exact_n{n}", lambda e=ens: coherence_exact_ensemble(params, e, t)),
-            (f"narrow_n{n}", lambda s=stats: coherence_narrow(params, s, t)),
-            (f"env_n{n}", lambda s=stats: np.exp(-s.sigma2 * t**2 / 2.0)),
-        ]
-    cols = _evaluate(thunks)
-    extras = {"g": g, "halfWidth": 0.05 * g, "thermal": "scale-separated",
-              "defaultNote": "TLF splittings drawn from our default range; "
-                             "the scenario gives no splitting list"}
-    extras.update({f"sigma_n{n}": s for n, s in sigmas.items()})
-    return t, cols, extras
-
-
-def _figure_5(sc: Scenario):
-    g = 0.1
-    params = JcParams(1.0, 1.0, g)
-    ctx = ThermalContext.scale_separated()
-    rng = np.random.default_rng(sc.seed)
-    t = _fig_grid(sc, 500.0)
-    thunks = []
-    extras: dict[str, object] = {"g": g, "n": 15, "box": "[1,10]^2",
-                                 "thermal": "scale-separated"}
-    for k in (1, 2, 3):
-        tlfs = sample_spatial_couplings(15, 2, (1.0, 10.0), 1.0, g, rng)
-        ens = TlfEnsemble(tlfs, ctx)
-        stats = ensemble_stats(ens)
-        extras[f"sigma_s{k}"] = stats.sigma
-        extras[f"R_s{k}"] = stats.r
-        thunks += [
-            (f"exact_s{k}", lambda e=ens: coherence_exact_ensemble(params, e, t)),
-            (f"narrow_s{k}", lambda s=stats: coherence_narrow(params, s, t)),
-            (f"env_s{k}", lambda s=stats: np.exp(-s.sigma2 * t**2 / 2.0)),
-        ]
-    return t, _evaluate(thunks), extras
-
-
-def _figure_6(sc: Scenario):
-    g = 0.01
-    params = JcParams(1.0, 1.0, g)
-    ctx = ThermalContext.scale_separated()
-    tol = sc.tolerances
-    rng = np.random.default_rng(sc.seed)
-    t = _fig_grid(sc, 1000.0)
-    thunks = []
-    extras: dict[str, object] = {"g": g, "halfWidth": 5 * g, "thermal": "scale-separated"}
-    for n, w in ((5, 200.0), (15, 50.0)):
-        uniform = TlfEnsemble(sample_uniform_couplings(n, 5 * g, rng), ctx)
-        stats = ensemble_stats(uniform)
-        extras[f"sigma_n{n}"] = stats.sigma
-        extras[f"R_n{n}"] = stats.r
-        thunks.append((f"uniform_n{n}",
-                       lambda e=uniform: coherence_exact_ensemble(params, e, t)))
-        for k in (1, 2, 3):
-            spatial = TlfEnsemble(
-                sample_spatial_couplings(n, 2, (1.0, 10.0), w, g, rng), ctx)
-            extras[f"R_n{n}_s{k}"] = ensemble_stats(spatial).r
-            thunks.append((f"spatial_n{n}_s{k}",
-                           lambda e=spatial: coherence_exact_ensemble(params, e, t)))
-        thunks.append((f"broad_n{n}",
-                       lambda s=stats: coherence_broad_integral(
-                           g, s, t, rel_tol=tol["broad_rel_tol"])))
-    return t, _evaluate(thunks), extras
-
-
-def _figure_7(sc: Scenario):
-    g = 0.01
-    sigma = 3 * g
-    tol = sc.tolerances
-    t = _fig_grid(sc, 600.0)
-    thunks = []
-    for label, mu in (("mu0", 0.0), ("mu0.5", 0.5 * sigma), ("mu1", sigma)):
-        stats = EnsembleStats(mu=mu, sigma2=sigma**2)
-        thunks.append((f"broad_{label}",
-                       lambda s=stats: coherence_broad_integral(
-                           g, s, t, rel_tol=tol["broad_rel_tol"])))
-    stats0 = EnsembleStats(mu=0.0, sigma2=sigma**2)
-    thunks += [
-        ("erfc", lambda: coherence_broad_erfc(g, stats0, t)),
-        ("linear", lambda: coherence_broad_linear(g, stats0, t)),
-    ]
-    return t, _evaluate(thunks), {"g": g, "sigma": sigma, "muOverSigma": "0,0.5,1",
-                                  "defaultNote": "sigma = 3g and the mu/sigma sweep are "
-                                                 "our defaults; the scenario gives neither"}
-
-
-FIGURES = {1: _figure_1, 2: _figure_2, 3: _figure_3, 4: _figure_4,
-           5: _figure_5, 6: _figure_6, 7: _figure_7}
+    setups = []
+    for kind, p, names in scenarios:
+        setup, values = _setup(kind, p, rng, t)
+        setups.append((METHODS[kind], setup))
+        resolved.update(values if names is None
+                        else {name: values[key] for key, name in names.items()})
+    thunks = [(name, partial(setups[i][0][tag], setups[i][1], t, sc.tolerances))
+              for name, i, tag in columns]
+    return t, _evaluate(thunks), resolved
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +576,8 @@ def run_scenario(sc: Scenario, out: str) -> None:
     ``out`` fails at once instead of after the columns are computed.
     """
     _check_output_dir(out)
-    if sc.kind == "figure":
-        index = sc.params["index"]
-        first, cols, extras = FIGURES[index](sc)
-        extras["figure"] = index
-        first_name = "t"
-    else:
-        first, cols, extras = _scenario_columns(sc)
-        first_name = "kT" if sc.kind == "micro" else "t"
-    write_csv(out, first_name, first, cols)
+    first, cols, extras = _scenario_columns(sc)
+    write_csv(out, "kT" if sc.kind == "micro" else "t", first, cols)
     write_manifest(out + ".manifest", sc, extras)
 
 
@@ -699,16 +633,10 @@ def _collect_raw(args: argparse.Namespace, kind: str | None) -> dict:
     for name, value in vars(args).items():
         if name.startswith("param_") and value is not None:
             raw[name[len("param_"):]] = value
-    if args.t_max is not None:
-        raw["tGrid.tMax"] = repr(args.t_max)
-    if args.n_points is not None:
-        raw["tGrid.nPoints"] = repr(args.n_points)
-    if args.seed is not None:
-        raw["seed"] = repr(args.seed)
-    if args.methods is not None:
-        raw["methods"] = args.methods
-    if args.tolerance_profile is not None:
-        raw["toleranceProfile"] = args.tolerance_profile
+    for name, key in (("t_max", "tGrid.tMax"), ("n_points", "tGrid.nPoints"), ("seed", "seed"),
+                      ("methods", "methods"), ("tolerance_profile", "toleranceProfile")):
+        if getattr(args, name) is not None:
+            raw[key] = str(getattr(args, name))
     return _default_grid(raw, kind)
 
 
@@ -733,23 +661,12 @@ def _figure_flag(key: str, parse, value, default):
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            raw = _read_config(args.config)
-            sc, errors = validate_config(_default_grid(raw, raw.get("kind")))
-            if errors:
-                for err in errors:
-                    print(f"error: {err}", file=sys.stderr)
-                return EXIT_VALIDATION
-            print(f"ok: {sc.kind} scenario, {sc.n_points} points to t = {_fmt(sc.t_max)}, "
-                  f"methods {','.join(sc.methods)}")
-            return EXIT_OK
-
         if args.command == "figure":
             sc = Scenario(
                 kind="figure", params={"index": args.index},
-                t_max=_figure_flag("tGrid.tMax", _f(lo=0, lo_open=True), args.t_max, 0.0),
-                n_points=_figure_flag("tGrid.nPoints", _i(lo=2), args.n_points, 1000),
-                seed=_figure_flag("seed", _i(lo=0), args.seed, 0),
+                t_max=_figure_flag("tGrid.tMax", _T_MAX, args.t_max, 0.0),
+                n_points=_figure_flag("tGrid.nPoints", _N_POINTS, args.n_points, 1000),
+                seed=_figure_flag("seed", _SEED, args.seed, 0),
                 methods=["preset"],
                 tolerance_profile=args.tolerance_profile or "default")
             if args.t_max is not None:
@@ -757,13 +674,20 @@ def main(argv: list[str] | None = None) -> int:
             run_scenario(sc, args.out)
             return EXIT_OK
 
-        raw = _collect_raw(args, args.command)
-        sc, errors = validate_config(raw, kind=args.command)
+        if args.command == "validate":
+            raw = _read_config(args.config)
+            sc, errors = validate_config(_default_grid(raw, raw.get("kind")))
+        else:
+            sc, errors = validate_config(_collect_raw(args, args.command), kind=args.command)
+        for err in errors:
+            print(f"error: {err}", file=sys.stderr)
         if errors:
-            for err in errors:
-                print(f"error: {err}", file=sys.stderr)
             return EXIT_VALIDATION
-        run_scenario(sc, args.out)
+        if args.command == "validate":
+            print(f"ok: {sc.kind} scenario, {sc.n_points} points to t = {_fmt(sc.t_max)}, "
+                  f"methods {','.join(sc.methods)}")
+        else:
+            run_scenario(sc, args.out)
         return EXIT_OK
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
