@@ -500,8 +500,6 @@ def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndar
         scenarios = [(sc.kind, sc.params, None)]
         columns, resolved = [(tag, 0, tag) for tag in sc.methods], {}
     t = sc.t_grid
-    if sc.kind == "figure" and not sc.notes.get("tMaxOverridden"):
-        t = np.linspace(0.0, fig.t_max, sc.n_points)
     rng = np.random.default_rng(sc.seed)
     setups = []
     for kind, p, names in scenarios:
@@ -664,7 +662,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             sc = Scenario(
                 kind="figure", params={"index": args.index},
-                t_max=_figure_flag("tGrid.tMax", _T_MAX, args.t_max, 0.0),
+                t_max=_figure_flag("tGrid.tMax", _T_MAX, args.t_max, FIGURES[args.index].t_max),
                 n_points=_figure_flag("tGrid.nPoints", _N_POINTS, args.n_points, 1000),
                 seed=_figure_flag("seed", _SEED, args.seed, 0),
                 methods=["preset"],

@@ -240,6 +240,7 @@ class TestFigurePresets:
         assert data["exact"][0] == pytest.approx(1.0, abs=1e-12)
         manifest = (tmp_path / "f1.csv.manifest").read_text()
         assert "resolved.figure = 1" in manifest
+        assert "tGrid.tMax = 400\n" in manifest
 
     def test_figure_t_max_override_noted(self, tmp_path):
         out = tmp_path / "f1.csv"
