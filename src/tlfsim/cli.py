@@ -100,9 +100,8 @@ def _choice(*options):
 
 
 # The run keys every scenario shares; the figure flags use the same parsers.
-MAX_POINTS = 10**6
 _T_MAX = _f(lo=0, lo_open=True)
-_N_POINTS = _i(lo=2, hi=MAX_POINTS)
+_N_POINTS = _i(lo=2, hi=10**6)
 _SEED = _i(lo=0)
 
 SCHEMAS = {

@@ -125,6 +125,10 @@ def _configuration_table(ens: TlfEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return lam_sum, prob
 
 
+# Most terms (2^N configurations times time points) the exact sum evaluates.
+MAX_EXACT_TERMS = 2**28
+
+
 def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     """Exact 2^N-configuration coherence sum.
 
@@ -133,14 +137,21 @@ def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     2^N amplitudes are summed as 2^(N+1) plain exponentials, blocked on
     equispaced grids (see the module docstring).  Returns the shape of t.
 
-    Raises CapacityError beyond the configured fluctuator cap (use the
-    continuum approximation instead) and DegenerateEigensystemError if any
+    Raises CapacityError, before any evaluation, beyond the configured
+    fluctuator cap or beyond MAX_EXACT_TERMS terms 2^N len(t) (use the
+    continuum approximation instead), and DegenerateEigensystemError if any
     configuration shifts the system exactly onto the degenerate point.
     """
     if ens.n > ens.cap:
         raise CapacityError(
             f"exact ensemble sum over 2^{ens.n} configurations exceeds cap "
             f"N <= {ens.cap}; use coherence_continuum"
+        )
+    terms = 2**ens.n * np.size(t)
+    if terms > MAX_EXACT_TERMS:
+        raise CapacityError(
+            f"exact ensemble sum over 2^{ens.n} configurations at {np.size(t)} times is "
+            f"{terms:.6g} terms, more than {MAX_EXACT_TERMS}; use coherence_continuum"
         )
     if ens.n == 0:
         return coherence_gr(params, t)

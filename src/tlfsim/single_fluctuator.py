@@ -41,7 +41,7 @@ _REGIME_RATIO = 3.0
 
 @dataclass(frozen=True)
 class TlfSpec:
-    """One fluctuator: splitting, coupling to the TLS and optional bath rate.
+    """One fluctuator: its splitting and its coupling to the TLS.
 
     The coupling sign is meaningful (it encodes dipole orientation) but all
     scale-separated coherences are invariant under lam -> -lam.
@@ -49,15 +49,12 @@ class TlfSpec:
 
     epsilon: float
     lam: float
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise InvalidInputError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if not math.isfinite(self.lam):
             raise InvalidInputError(f"lam must be finite, got {self.lam!r}")
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise InvalidInputError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 
 
 def coherence_exact_single(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, t):

@@ -118,6 +118,35 @@ class TestValidation:
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_exact_sum_work_budget_fails_fast(self, tmp_path, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("kernel evaluated past the work budget")
+
+        monkeypatch.setattr("tlfsim.ensemble._mixture_coherence", not_called)
+        start = time.perf_counter()
+        rc = main(["ensemble", "--n", "20", "--n-points", "100000",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert time.perf_counter() - start < 5.0
+        assert "terms" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_size_bounded(self, tmp_path, capsys):
+        cfg = tmp_path / "big.conf"
+        cfg.write_text("kind = jc-only\ntGrid.nPoints = 100000000\n")
+        out = tmp_path / "x.csv"
+        for argv in (["jc-only", "--n-points", "100000000", "--out", str(out)],
+                     ["figure", "1", "--n-points", "1000001", "--out", str(out)],
+                     ["validate", "--config", str(cfg)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: tGrid.nPoints: must be <= 1000000")
+            assert err.count("\n") == 1
+        assert not out.exists()
+        sc, errors = validate_config({"kind": "jc-only", "tGrid.tMax": "1",
+                                      "tGrid.nPoints": "1000000"})
+        assert errors == [] and sc.n_points == 10**6
+
     def test_unresolvable_continuum_fails_fast(self, tmp_path, capsys):
         start = time.perf_counter()
         rc = main(["continuum", "--t-max", "1e7", "--n-points", "1000",
@@ -207,6 +236,20 @@ class TestScenarios:
         data = read_csv(out)
         assert list(data.dtype.names) == ["t", "broad", "erfc", "linear"]
         assert data["broad"][0] == 1.0
+
+    def test_ensemble_broad_column(self, tmp_path):
+        out = tmp_path / "e.csv"
+        rc = main(["ensemble", "--n", "5", "--seed", "2", "--g", "0.01", "--half-width", "0.05",
+                   "--methods", "exact,broad", "--out", str(out),
+                   "--t-max", "300", "--n-points", "30"])
+        assert rc == 0
+        data = read_csv(out)
+        ens = tlfsim.TlfEnsemble(
+            tlfsim.sample_uniform_couplings(5, 0.05, np.random.default_rng(2)),
+            tlfsim.ThermalContext.scale_separated())
+        ref = tlfsim.coherence_broad_integral(0.01, tlfsim.ensemble_stats(ens), data["t"],
+                                              rel_tol=1e-6)
+        assert np.array_equal(data["broad"], ref)
 
     def test_micro_scans_temperature(self, tmp_path):
         out = tmp_path / "m.csv"

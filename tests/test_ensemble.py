@@ -109,6 +109,15 @@ class TestExactEnsemble:
         with pytest.raises(CapacityError):
             ts.coherence_exact_ensemble(ts.JcParams(1.0, 1.0, 0.1), small_cap, 1.0)
 
+    def test_work_budget(self, ss, monkeypatch):
+        monkeypatch.setattr(ensemble, "MAX_EXACT_TERMS", 64)
+        params, ens = ts.JcParams(1.0, 1.0, 0.1), uniform_ensemble(2, 0.01, ss, 2)
+        at_budget = ts.coherence_exact_ensemble(params, ens, np.linspace(0.0, 10.0, 16))
+        assert at_budget.shape == (16,)
+        monkeypatch.setattr(ensemble, "_mixture_coherence", None)  # must not be reached
+        with pytest.raises(CapacityError, match="68 terms"):
+            ts.coherence_exact_ensemble(params, ens, np.linspace(0.0, 10.0, 17))
+
     def test_degenerate_configuration(self, ss):
         params = ts.JcParams(1.0, 1.0, 0.0)
         ens = ts.TlfEnsemble([ts.TlfSpec(0.1, 0.0)], ss)

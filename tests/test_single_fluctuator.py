@@ -150,5 +150,3 @@ class TestTlfSpec:
             ts.TlfSpec(-0.1, 0.01)
         with pytest.raises(InvalidInputError):
             ts.TlfSpec(0.1, float("nan"))
-        with pytest.raises(InvalidInputError):
-            ts.TlfSpec(0.1, 0.01, gamma=-1.0)
