@@ -26,6 +26,7 @@ from .dissipative import (
     integrate_reduced,
 )
 from .ensemble import (
+    MAX_TERMS,
     TlfEnsemble,
     coherence_broad_erfc,
     coherence_broad_integral,
@@ -38,7 +39,7 @@ from .ensemble import (
     sample_spatial_couplings,
     sample_uniform_couplings,
 )
-from .errors import InvalidInputError, TlfsimError
+from .errors import CapacityError, InvalidInputError, TlfsimError
 from .microscopic import MaterialParams, average_variance_mc
 from .model import JcParams, ThermalContext, coherence_gr, coherence_gr_short_time
 from .single_fluctuator import (
@@ -329,6 +330,9 @@ def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple
     elif kind == "continuum":
         s["stats"] = EnsembleStats(mu=p["mu"], sigma2=p["sigma"] ** 2)
     elif kind == "micro":
+        if t.size * p["nSamples"] > MAX_TERMS:
+            raise CapacityError(f"micro scan of {t.size} temperatures x {p['nSamples']} "
+                                f"samples is more than {MAX_TERMS} Monte-Carlo draws")
         mat = MaterialParams(chi=p["chi"], d=p["d"], j0=p["j0"], r0=p["r0"],
                              cos_theta=p["cosTheta"])
         seeds = rng.integers(0, 2**63 - 1, size=t.size)
@@ -582,15 +586,16 @@ def run_scenario(sc: Scenario, out: str) -> None:
 # Argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
+def _add_common(sub: argparse.ArgumentParser, preset: bool = False) -> None:
+    hidden = argparse.SUPPRESS if preset else None  # a preset parses these to refuse them
+    sub.add_argument("--config", help=hidden or "flat key = value config file")
     sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
     sub.add_argument("--out", default="out.csv", help="output CSV path (default out.csv)")
     sub.add_argument("--t-max", type=float, dest="t_max",
                      help="end of the time grid (per-scenario default)")
     sub.add_argument("--n-points", type=int, dest="n_points",
                      help="grid points (default 1000)")
-    sub.add_argument("--methods", help="comma-separated method tags")
+    sub.add_argument("--methods", help=hidden or "comma-separated method tags")
     sub.add_argument("--tolerance-profile", choices=sorted(TOLERANCE_PROFILES),
                      dest="tolerance_profile", help="numerical tolerance profile")
 
@@ -616,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = subs.add_parser("figure", help="run a figure preset (1-7)")
     fig.add_argument("index", type=int, choices=sorted(FIGURES), help="figure number")
-    _add_common(fig)
+    _add_common(fig, preset=True)
 
     val = subs.add_parser("validate", help="validate a config file and exit")
     val.add_argument("--config", required=True, help="flat key = value config file")
@@ -659,6 +664,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "figure":
+            if args.config is not None or args.methods is not None:
+                raise InvalidInputError("figure takes no --config or --methods (presets fix both)")
             sc = Scenario(
                 kind="figure", params={"index": args.index},
                 t_max=_figure_flag("tGrid.tMax", _T_MAX, args.t_max, FIGURES[args.index].t_max),

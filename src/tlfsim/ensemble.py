@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, exp1
@@ -34,6 +34,7 @@ from .model import (
     ThermalContext,
     coherence_gr,
     _as_time,
+    _exp_sum,
     _mixture_coherence,
     _rabi_envelope,
 )
@@ -125,8 +126,8 @@ def _configuration_table(ens: TlfEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return lam_sum, prob
 
 
-# Most terms (2^N configurations times time points) the exact sum evaluates.
-MAX_EXACT_TERMS = 2**28
+# Work budget: configurations or nodes (the CLI: Monte-Carlo draws) x points.
+MAX_TERMS = 2**28
 
 
 def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
@@ -138,7 +139,7 @@ def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     equispaced grids (see the module docstring).  Returns the shape of t.
 
     Raises CapacityError, before any evaluation, beyond the configured
-    fluctuator cap or beyond MAX_EXACT_TERMS terms 2^N len(t) (use the
+    fluctuator cap or beyond MAX_TERMS terms 2^N len(t) (use the
     continuum approximation instead), and DegenerateEigensystemError if any
     configuration shifts the system exactly onto the degenerate point.
     """
@@ -148,10 +149,10 @@ def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
             f"N <= {ens.cap}; use coherence_continuum"
         )
     terms = 2**ens.n * np.size(t)
-    if terms > MAX_EXACT_TERMS:
+    if terms > MAX_TERMS:
         raise CapacityError(
             f"exact ensemble sum over 2^{ens.n} configurations at {np.size(t)} times is "
-            f"{terms:.6g} terms, more than {MAX_EXACT_TERMS}; use coherence_continuum"
+            f"{terms:.6g} terms, more than {MAX_TERMS}; use coherence_continuum"
         )
     if ens.n == 0:
         return coherence_gr(params, t)
@@ -240,103 +241,87 @@ def coherence_narrow(params: JcParams, stats: EnsembleStats, t):
     return out if arr.ndim else float(out)
 
 
-def _exp_integrals(z: complex, n_max: int) -> list[complex]:
-    """E_1..E_n(z) via the upward recurrence E_{n+1} = (e^-z - z E_n)/n."""
-    out = [complex(exp1(z))]
-    ez = np.exp(-z)
-    for n in range(1, n_max):
-        out.append((ez - z * out[-1]) / n)
-    return out
+# Broad integral: excision edge (units of sigma), geometric u-edges per side, and
+# a work array an eighth of the default (its sums have far more terms than times).
+_BROAD_CUT = 1e-3
+_BROAD_GEOM_EDGES = 257
+_BROAD_WORK = 2**15
 
 
-# Phase (radians) at the excision edge: lam_cut = g^2 t / (2 * _CUT_PHASE).
-_CUT_PHASE = 1000.0
-
-
-def _excised_window(stats: EnsembleStats, phi: float, lam_cut: float) -> complex:
-    """Contribution of |Lam| < lam_cut to the broad integral.
+def _excised_window(stats: EnsembleStats, phi: np.ndarray, lam_cut: float) -> np.ndarray:
+    """Contribution of |Lam| < lam_cut to the broad integral at each phase phi.
 
     The Gaussian weight is expanded to second order about zero (the window is
-    thousands of times narrower than sigma) and the oscillatory moments
-    int Lam^k exp(i phi / Lam) dLam are expressed through generalized
-    exponential integrals at the fixed edge phase phi / lam_cut.
+    a thousand times narrower than sigma) and the oscillatory moments
+    int_0^cut Lam^k exp(i phi / Lam) dLam = cut^(k+1) E_(k+2)(-i phi / cut)
+    come from the upward recurrence E_{n+1} = (e^-z - z E_n)/n.
     """
-    n0 = _gaussian(stats, np.array(0.0))
-    c0 = float(n0)
+    c0 = float(_gaussian(stats, np.array(0.0)))
     c1 = c0 * stats.mu / stats.sigma2
     c2 = c0 * (stats.mu**2 / stats.sigma2**2 - 1.0 / stats.sigma2) / 2.0
     z = -1j * phi / lam_cut
-    e = _exp_integrals(z, 4)  # E_1 .. E_4
-    m = [lam_cut ** (k + 1) * e[k + 1] for k in range(3)]  # int_0^cut Lam^k e^{i phi/Lam}
-    big_m0 = 2.0 * m[0].real
-    big_m1 = 2j * m[1].imag
-    big_m2 = 2.0 * m[2].real
-    return c0 * big_m0 + c1 * big_m1 + c2 * big_m2
+    e = [exp1(z)]  # E_1 .. E_4
+    for n in range(1, 4):
+        e.append((np.exp(-z) - z * e[-1]) / n)
+    m = [lam_cut ** (k + 1) * e[k + 1] for k in range(3)]
+    return 2.0 * (c0 * m[0].real + 1j * c1 * m[1].imag + c2 * m[2].real)
 
 
-def coherence_broad_integral(
-    g: float, stats: EnsembleStats, t, rel_tol: float = 1e-6
-):
+def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float = 1e-6):
     """Broad-ensemble integral |int N(mu, sigma^2) exp(i g^2 t / 2 Lam) dLam|.
 
-    The essential singularity at Lam = 0 is excised over a window whose edge
-    phase is fixed at 1000 rad; outside the window the integrand is resolved
-    with phase-aligned panels, and the window's own contribution is added via
-    an exponential-integral expansion.  Valid at all t, not only short times.
+    The essential singularity at Lam = 0 is excised over |Lam| < 1e-3 sigma
+    and that window added in closed form.  Outside it, u = 1/Lam turns each
+    side into int N(+/-1/u) u^-2 exp(+/- i phi u) du, phi = g^2 t / 2: over
+    Gauss nodes u_j, which do not depend on t, one exponential sum for the
+    whole grid.  The u-panels are geometric joined with a step of
+    pi / (2 phi_max); order 16 is checked against order 8 to rel_tol.
+
+    Raises CapacityError, before any evaluation, when order-16 nodes times
+    max(len(t), 256) exceed MAX_TERMS, and NumericalError when the two orders
+    disagree.
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_broad_integral requires sigma2 > 0")
     arr = _as_time(t)
-    flat = np.atleast_1d(arr)
-    lo, hi = stats.mu - 8.0 * stats.sigma, stats.mu + 8.0 * stats.sigma
-    out = np.empty(flat.shape)
-    for i, ti in enumerate(flat):
-        phi = g**2 * ti / 2.0
-        # |C - 1| <= int N min(2, phi/|Lam|) dLam = O(sqrt(phi/sigma)), so for
-        # phases this small the integral is 1 to far below every tolerance;
-        # evaluating it would also underflow the excision window
-        if phi < 1e-18 * stats.sigma:
-            out[i] = 1.0
-            continue
-        lam_cut = phi / _CUT_PHASE
-        total = _outer_broad(stats, phi, lam_cut, lo, hi, order=16)
-        check = _outer_broad(stats, phi, lam_cut, lo, hi, order=8)
-        total += _excised_window(stats, phi, lam_cut)
-        check += _excised_window(stats, phi, lam_cut)
-        if abs(total - check) > rel_tol * max(abs(total), 0.05):
-            raise NumericalError(
-                f"broad-ensemble quadrature not converged at t = {ti:.6g} "
-                f"(lam_cut = {lam_cut:.3g})"
-            )
-        out[i] = abs(total)
-    return out if arr.ndim else float(out[0])
+    flat = arr.ravel()
+    phi = g**2 * flat / 2.0
+    # |C - 1| <= int N min(2, phi/|Lam|) dLam = O(sqrt(phi/sigma)), so for
+    # phases this small the integral is 1 to far below every tolerance;
+    # evaluating it would also underflow the excision window
+    live = phi >= 1e-18 * stats.sigma
+    out = np.ones(flat.shape)
+    if np.any(live):
+        lam_cut = _BROAD_CUT * stats.sigma
+        reach = [(8.0 * stats.sigma + stats.mu, 1.0), (8.0 * stats.sigma - stats.mu, -1.0)]
+        sides = [(1.0 / b, sign) for b, sign in reach if b > lam_cut]
+        # linear panels span pi/2 of the phase phi_max u each; merged with the
+        # geometric edges, which share both ends, they give G - 2 more panels
+        n_lin = [oscillation_panels(u_lo, 1.0 / lam_cut, np.max(phi), 0) for u_lo, _ in sides]
+        nodes = 16 * sum(n + _BROAD_GEOM_EDGES - 2 for n in n_lin)
+        # node arrays are allocated whole, so a short grid counts as 256 times
+        terms = nodes * max(flat.size, 256)
+        if terms > MAX_TERMS:
+            raise CapacityError(f"broad integral over {nodes:.6g} nodes at {flat.size} times "
+                                f"(at least 256) is {terms:.6g} terms, more than {MAX_TERMS}")
+        edges = [(np.union1d(np.geomspace(u_lo, 1.0 / lam_cut, _BROAD_GEOM_EDGES),
+                             np.linspace(u_lo, 1.0 / lam_cut, int(n) + 1)), sign)
+                 for (u_lo, sign), n in zip(sides, n_lin)]
+        window = _excised_window(stats, phi[live], lam_cut)
 
+        def evaluate(order: int) -> np.ndarray:
+            parts = [(sign, *panel_nodes(e, order)) for e, sign in edges]
+            freq = np.concatenate([sign * g**2 / 2.0 * u for sign, u, _ in parts])
+            coef = np.concatenate([w * _gaussian(stats, sign / u) / u**2 for sign, u, w in parts])
+            return _exp_sum(freq, coef, flat, _BROAD_WORK)[live] + window
 
-def _broad_edges(phi: float, lam_cut: float, a: float, b: float) -> np.ndarray:
-    """Panel edges on [a, b] (0 < a < b) aligned with the phase phi / Lam."""
-    k_hi = math.floor(phi / (math.pi * a))
-    k_lo = math.ceil(phi / (math.pi * b))
-    breaks = [phi / (k * math.pi) for k in range(max(k_lo, 1), k_hi + 1)]
-    base = np.linspace(a, b, 17)
-    # geometric edges resolve the 1/Lam phase curvature beyond the last
-    # half-period breakpoint, where the phase is < pi but far from linear
-    geo = np.geomspace(a, b, 129)
-    edges = np.unique(np.concatenate([base, geo, np.asarray(breaks)]))
-    return np.clip(edges, a, b)
-
-
-def _outer_broad(
-    stats: EnsembleStats, phi: float, lam_cut: float, lo: float, hi: float, order: int
-) -> complex:
-    total = 0.0 + 0.0j
-    for a, b, sign in ((lam_cut, hi, +1.0), (lam_cut, -lo, -1.0)):
-        if b <= a:
-            continue
-        edges = _broad_edges(phi, lam_cut, a, b)
-        nodes, weights = panel_nodes(edges, order=order)
-        lam = sign * nodes
-        total += np.sum(weights * _gaussian(stats, lam) * np.exp(1j * phi / lam))
-    return complex(total)
+        total, check = evaluate(16), evaluate(8)
+        bad = np.abs(total - check) > rel_tol * np.maximum(np.abs(total), 0.05)
+        if np.any(bad):
+            raise NumericalError(f"broad-ensemble quadrature not converged at "
+                                 f"t = {flat[live][bad][0]:.6g} (lam_cut = {lam_cut:.3g})")
+        out[live] = np.abs(total)
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 def coherence_broad_erfc(g: float, stats: EnsembleStats, t):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,8 +195,8 @@ def _rabi_envelope(x, r):
     return np.sqrt(np.cos(x) ** 2 + r**2 * np.sin(x) ** 2)
 
 
-# Largest work array, in elements, that one pass of the mixture kernel
-# allocates; bounds the memory of concurrent column threads.
+# Largest work array, in elements, that one pass of the exponential-sum
+# kernel allocates; bounds the memory of concurrent column threads.
 _WORK_ELEMENTS = 2**18
 
 
@@ -223,20 +223,38 @@ def _phasors(phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exp_sum(freq: np.ndarray, coef: np.ndarray, t: np.ndarray, work=None) -> np.ndarray:
+    """sum_j coef_j exp(i freq_j t) at each point of the 1-D grid t, as complex.
+
+    On an equispaced grid t_n = t_0 + n h, write n = b B + m with B ~ sqrt(T):
+    e^{i freq t_n} = e^{i freq t_{bB}} e^{i freq m h}, where t_{bB} are the
+    grid's own values, so the sum is one matrix product Z @ E^T of a (T/B, J)
+    and a (B, J) phasor table, costing (T/B + B) J exponentials for J terms.
+    Any other grid takes the same path with B = 1.  Terms are taken in chunks
+    so that no work array exceeds work elements (default _WORK_ELEMENTS).
+    """
+    block, h = _uniform_block(t)
+    coarse = t[::block]
+    fine = np.arange(block) * h
+    total = np.zeros((coarse.size, block), dtype=complex)
+    chunk = max(1, (work or _WORK_ELEMENTS) // max(coarse.size, block))
+    for i in range(0, freq.size, chunk):
+        f = freq[i : i + chunk]
+        z = _phasors(np.multiply.outer(coarse, f))
+        z *= coef[i : i + chunk]
+        total += z @ _phasors(np.multiply.outer(fine, f)).T
+    return total.ravel()[: t.size]
+
+
 def _mixture_coherence(g: float, delta: float, lam, w, t):
     """|sum_k w_k exp(-i lam_k t) A_k(t)|, a weighted mixture of shifted JC amplitudes.
 
     A_k(t) = cos(Omega_k t / 2) + i (d_k / Omega_k) sin(Omega_k t / 2) with
     d_k = delta + 2 lam_k and Omega_k = sqrt(4 g^2 + d_k^2).  Splitting A_k
     into e^{+/- i Omega_k t / 2} turns the sum into 2K plain exponentials
-    c_j e^{i omega_j t}, omega = -lam +/- Omega / 2, c = w (1 +/- d / Omega) / 2.
-
-    On an equispaced grid t_n = t_0 + n h, write n = b B + m with B ~ sqrt(T):
-    e^{i omega t_n} = e^{i omega t_{bB}} e^{i omega m h}, where t_{bB} are the
-    grid's own values, so the sum is one matrix product Z @ E^T of a (T/B, 2K)
-    and a (B, 2K) phasor table, costing (T/B + B) 2K exponentials.  Any other
-    grid takes the same path with B = 1.  Accepts a scalar or an array of any
-    shape and returns the same shape.
+    c_j e^{i omega_j t}, omega = -lam +/- Omega / 2, c = w (1 +/- d / Omega) / 2,
+    which _exp_sum evaluates.  Accepts a scalar or an array of any shape and
+    returns the same shape.
     """
     arr = _as_time(t)
     flat = arr.ravel()
@@ -249,17 +267,7 @@ def _mixture_coherence(g: float, delta: float, lam, w, t):
     ratio = d / omega
     freq = np.concatenate([omega / 2.0 - lam, -omega / 2.0 - lam])
     coef = np.concatenate([w * (1.0 + ratio), w * (1.0 - ratio)]) / 2.0
-    block, h = _uniform_block(flat)
-    coarse = flat[::block]
-    fine = np.arange(block) * h
-    total = np.zeros((coarse.size, block), dtype=complex)
-    chunk = max(1, _WORK_ELEMENTS // max(coarse.size, block))
-    for i in range(0, freq.size, chunk):
-        f = freq[i : i + chunk]
-        z = _phasors(np.multiply.outer(coarse, f))
-        z *= coef[i : i + chunk]
-        total += z @ _phasors(np.multiply.outer(fine, f)).T
-    out = np.abs(total).ravel()[: flat.size]
+    out = np.abs(_exp_sum(freq, coef, flat))
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 

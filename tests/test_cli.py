@@ -11,6 +11,7 @@ import pytest
 import tlfsim
 from tlfsim import cli
 from tlfsim.cli import main, validate_config
+from tlfsim.microscopic import McEstimate
 
 
 def read_csv(path):
@@ -130,6 +131,58 @@ class TestValidation:
         assert time.perf_counter() - start < 5.0
         assert "terms" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_broad_work_budget_fails_fast(self, tmp_path, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("kernel evaluated past the work budget")
+
+        monkeypatch.setattr("tlfsim.ensemble._exp_sum", not_called)
+        start = time.perf_counter()
+        rc = main(["continuum", "--methods", "broad", "--n-points", "1000000",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert time.perf_counter() - start < 5.0
+        assert "terms" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_micro_work_budget_fails_fast(self, tmp_path, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("sampled past the work budget")
+
+        monkeypatch.setattr(cli, "average_variance_mc", not_called)
+        start = time.perf_counter()
+        rc = main(["micro", "--n-points", "1000000", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "Monte-Carlo draws" in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_micro_work_budget_boundary(self, tmp_path, monkeypatch):
+        calls = []
+
+        def estimate(*args):
+            calls.append(args)
+            return McEstimate(value=1.0, stderr=0.0, n_samples=args[-2],
+                              truncation_remainder=0.0)
+
+        monkeypatch.setattr(cli, "average_variance_mc", estimate)
+        monkeypatch.setattr(cli, "MAX_TERMS", 3 * 10_000)
+        argv = ["micro", "--n-samples", "10000", "--out", str(tmp_path / "x.csv")]
+        assert main(argv + ["--n-points", "3"]) == 0
+        assert len(calls) == 3
+        assert main(argv + ["--n-points", "4"]) == 3
+        assert len(calls) == 3
+
+    def test_figure_refuses_subcommand_flags(self, tmp_path, capsys):
+        out = tmp_path / "f1.csv"
+        for extra in (["--methods", "bogus"], ["--config", "/nonexistent/x.conf"],
+                      ["--methods", "bogus", "--config", "/nonexistent/x.conf"]):
+            assert main(["figure", "1", *extra, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--config or --methods" in err
+        assert not out.exists()
 
     def test_grid_size_bounded(self, tmp_path, capsys):
         cfg = tmp_path / "big.conf"

@@ -1,10 +1,12 @@
 """Frozen fluctuator ensembles: exact sum, continuum limit and samplers."""
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 import tlfsim as ts
 from tlfsim import ensemble, model
@@ -12,6 +14,7 @@ from tlfsim.errors import (
     CapacityError,
     DegenerateEigensystemError,
     InvalidInputError,
+    NumericalError,
     RegimeWarning,
 )
 
@@ -110,7 +113,7 @@ class TestExactEnsemble:
             ts.coherence_exact_ensemble(ts.JcParams(1.0, 1.0, 0.1), small_cap, 1.0)
 
     def test_work_budget(self, ss, monkeypatch):
-        monkeypatch.setattr(ensemble, "MAX_EXACT_TERMS", 64)
+        monkeypatch.setattr(ensemble, "MAX_TERMS", 64)
         params, ens = ts.JcParams(1.0, 1.0, 0.1), uniform_ensemble(2, 0.01, ss, 2)
         at_budget = ts.coherence_exact_ensemble(params, ens, np.linspace(0.0, 10.0, 16))
         assert at_budget.shape == (16,)
@@ -193,24 +196,26 @@ def _shape_cases():
     tlf = ts.TlfSpec(0.1, 0.01)
     ens = uniform_ensemble(5, 0.005, ss, 3)
     stats = ts.EnsembleStats(mu=0.001, sigma2=0.004**2)
+    broad = ts.EnsembleStats(mu=0.01, sigma2=0.03**2)
     return {
         "single": lambda t: ts.coherence_exact_single(params, tlf, ss, t),
         "ensemble": lambda t: ts.coherence_exact_ensemble(params, ens, t),
         "continuum": lambda t: ts.coherence_continuum(params, stats, t),
+        "broad": lambda t: ts.coherence_broad_integral(0.01, broad, t),
     }
 
 
 class TestTimeShapes:
     """Scalar in, float out; any array in, the same shape out."""
 
-    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum"])
+    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum", "broad"])
     def test_scalar(self, name):
         fn = _shape_cases()[name]
         val = fn(50.0)
         assert isinstance(val, float)
         assert val == fn(np.array([50.0]))[0]
 
-    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum"])
+    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum", "broad"])
     @pytest.mark.parametrize("shape", [(12,), (3, 4), (2, 3, 2)])
     def test_array(self, name, shape):
         fn = _shape_cases()[name]
@@ -219,7 +224,7 @@ class TestTimeShapes:
         assert vals.shape == shape
         assert np.array_equal(vals.ravel(), fn(t))
 
-    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum"])
+    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum", "broad"])
     def test_empty(self, name):
         vals = _shape_cases()[name](np.array([]))
         assert vals.shape == (0,)
@@ -307,6 +312,119 @@ class TestNarrow:
         assert env < 5e-6
         val = ts.coherence_narrow(ts.JcParams(1.0, 1.0, g), stats, g / sigma**2)
         assert val <= env + 1e-12
+
+
+def reference_broad(g, stats, t, rel_tol=1e-6):
+    """The broad integral one t at a time, as it was computed before the
+    exponential-sum rewrite: per-t phase-aligned Lam-panels at orders 16 and 8
+    outside an excision window whose edge phase is fixed at 1000 rad."""
+    lo, hi = stats.mu - 8.0 * stats.sigma, stats.mu + 8.0 * stats.sigma
+    gauss = lambda lam: np.exp(-(lam - stats.mu) ** 2 / (2.0 * stats.sigma2)) / (
+        math.sqrt(2.0 * math.pi) * stats.sigma)
+
+    def outer(phi, lam_cut, order):
+        total = 0j
+        for a, b, sign in ((lam_cut, hi, 1.0), (lam_cut, -lo, -1.0)):
+            if b <= a:
+                continue
+            k_hi, k_lo = math.floor(phi / (math.pi * a)), math.ceil(phi / (math.pi * b))
+            breaks = [phi / (k * math.pi) for k in range(max(k_lo, 1), k_hi + 1)]
+            edges = np.clip(np.unique(np.concatenate([
+                np.linspace(a, b, 17), np.geomspace(a, b, 129), breaks])), a, b)
+            x, w = np.polynomial.legendre.leggauss(order)
+            mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+            lam = sign * (mid[:, None] + half[:, None] * x).ravel()
+            total += np.sum((half[:, None] * w).ravel() * gauss(lam) * np.exp(1j * phi / lam))
+        return total
+
+    def window(phi, lam_cut):
+        c0 = float(gauss(np.array(0.0)))
+        c1 = c0 * stats.mu / stats.sigma2
+        c2 = c0 * (stats.mu**2 / stats.sigma2**2 - 1.0 / stats.sigma2) / 2.0
+        z = -1j * phi / lam_cut
+        e = [complex(exp1(z))]
+        for n in range(1, 4):
+            e.append((np.exp(-z) - z * e[-1]) / n)
+        m = [lam_cut ** (k + 1) * e[k + 1] for k in range(3)]
+        return c0 * 2.0 * m[0].real + c1 * 2j * m[1].imag + c2 * 2.0 * m[2].real
+
+    out = []
+    for ti in t:
+        phi = g**2 * ti / 2.0
+        if phi < 1e-18 * stats.sigma:
+            out.append(1.0)
+            continue
+        lam_cut = phi / 1000.0
+        total = outer(phi, lam_cut, 16) + window(phi, lam_cut)
+        check = outer(phi, lam_cut, 8) + window(phi, lam_cut)
+        assert abs(total - check) <= rel_tol * max(abs(total), 0.05)
+        out.append(abs(total))
+    return np.array(out)
+
+
+def unsorted_grid():
+    t = np.random.default_rng(4).uniform(0.0, 600.0, 40)
+    return np.concatenate([t, [0.0, 250.0, 250.0, 0.0], t[:5]])
+
+
+class TestBroadReference:
+    """The exponential-sum broad integral against the per-t reference."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("grid", [(300, 600.0), (1000, 600.0), (1000, 3000.0)],
+                             ids=["T300", "T1000", "T1000-long"])
+    def test_matches_reference(self, x, grid):
+        # the kernel runs on the whole grid (blocked); the reference is per
+        # point, so comparing at every 25th point checks the same values
+        sigma = 0.03
+        stats = ts.EnsembleStats(mu=x * sigma, sigma2=sigma**2)
+        t = np.linspace(0.0, grid[1], grid[0])
+        vals = ts.coherence_broad_integral(0.01, stats, t)
+        rows = np.r_[0:t.size:25, t.size - 1]
+        assert np.abs(vals[rows] - reference_broad(0.01, stats, t[rows])).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [np.geomspace(1e-3, 600.0, 60), unsorted_grid()],
+                             ids=["geomspace", "unsorted"])
+    def test_irregular_grids(self, t):
+        stats = ts.EnsembleStats(mu=0.015, sigma2=0.03**2)
+        assert model._uniform_block(t)[0] == 1
+        vals = ts.coherence_broad_integral(0.01, stats, t)
+        assert np.abs(vals - reference_broad(0.01, stats, t)).max() <= 1e-12
+
+    def test_order_disagreement_raises(self, monkeypatch):
+        # with one geometric panel the linear step alone cannot resolve the
+        # Gaussian near u = 1/sigma, so orders 16 and 8 disagree
+        monkeypatch.setattr(ensemble, "_BROAD_GEOM_EDGES", 2)
+        stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
+        with pytest.raises(NumericalError, match="not converged"):
+            ts.coherence_broad_integral(0.01, stats, np.linspace(0.0, 600.0, 30))
+
+    def test_work_budget(self, monkeypatch):
+        stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
+        t = np.linspace(0.0, 600.0, 300)
+        sizes = []
+
+        def spy(freq, *args):
+            sizes.append(freq.size)
+            return model._exp_sum(freq, *args)
+
+        monkeypatch.setattr(ensemble, "_exp_sum", spy)
+        ref = ts.coherence_broad_integral(0.01, stats, t)
+        terms = sizes[0] * t.size  # order-16 nodes x T
+        monkeypatch.setattr(ensemble, "MAX_TERMS", terms)
+        assert np.array_equal(ts.coherence_broad_integral(0.01, stats, t), ref)
+        monkeypatch.setattr(ensemble, "MAX_TERMS", terms - 1)
+        monkeypatch.setattr(ensemble, "_exp_sum", None)  # must not be reached
+        with pytest.raises(CapacityError, match=re.escape(f"{terms:.6g} terms")):
+            ts.coherence_broad_integral(0.01, stats, t)
+
+    def test_short_far_grid_bounded(self, monkeypatch):
+        # two points to t = 1e6 need ~3e7 nodes: few terms, but node arrays
+        # of ~250 MB each, so a short grid counts as 256 times
+        monkeypatch.setattr(ensemble, "_exp_sum", None)  # must not be reached
+        stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
+        with pytest.raises(CapacityError, match="at 2 times"):
+            ts.coherence_broad_integral(0.01, stats, [0.0, 1e6])
 
 
 class TestBroadIntegral:
