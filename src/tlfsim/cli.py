@@ -519,18 +519,34 @@ def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndar
 # Output
 
 
+# Rows per formatted block: one %-string call per block is the cost of about
+# one %.17g per value, and 512 rows was fastest on 1e5 x 5 columns.
+_CSV_BLOCK_ROWS = 512
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
 def write_csv(path: str, first_name: str, first: np.ndarray,
               columns: list[tuple[str, np.ndarray]]) -> None:
-    lines = [",".join([first_name] + [tag for tag, _ in columns])]
-    data = [first] + [vals for _, vals in columns]
-    for row in zip(*data):
-        lines.append(",".join(_fmt(x) for x in row))
+    """Write ``first`` and each column as CSV rows, every value as ``%.17g``.
+
+    Rows are formatted and written in blocks of ``_CSV_BLOCK_ROWS``, so the
+    whole text is never held in memory. Columns of unequal length raise
+    ``ValueError`` before ``path`` is opened.
+    """
+    data = [np.asarray(first, dtype=float)] + [np.asarray(v, dtype=float) for _, v in columns]
+    if any(v.ndim != 1 or v.size != data[0].size for v in data):
+        shapes = ", ".join(str(v.shape) for v in data)
+        raise ValueError(f"CSV columns must be 1-D and of equal length, got shapes {shapes}")
+    table = np.column_stack(data)
+    row_fmt = ",".join(["%.17g"] * len(data)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join([first_name] + [tag for tag, _ in columns]) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_manifest(path: str, sc: Scenario, extras: dict) -> None:

@@ -382,3 +382,60 @@ class TestEntryPoint:
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "--config" in proc.stdout
+
+
+def reference_write_csv(path, first_name, first, columns):
+    """The CSV writer as it was before the block writer: one ``.17g`` format
+    per value through ``zip(*data)``, every line joined before one write."""
+    lines = [",".join([first_name] + [tag for tag, _ in columns])]
+    data = [first] + [vals for _, vals in columns]
+    for row in zip(*data):
+        lines.append(",".join(f"{float(x):.17g}" for x in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+EDGE_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1 / 3, 1e308, -1e-300,
+               float(2**53 + 1)]
+
+
+class TestCsvWriter:
+    """The block writer against the per-value reference writer, byte for byte."""
+
+    @pytest.mark.parametrize("first_name", ["t", "kT"])
+    @pytest.mark.parametrize("n_cols", range(1, 7))
+    def test_matches_reference(self, tmp_path, first_name, n_cols):
+        block = cli._CSV_BLOCK_ROWS
+        rng = np.random.default_rng(n_cols)
+        for n_rows in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+            # random magnitudes over the whole double range, edge values cycled in
+            size = n_rows * n_cols
+            pool = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+            pool[::7] = np.resize(EDGE_VALUES, pool[::7].size)
+            table = pool.reshape(n_cols, n_rows)
+            columns = [(f"c{j}", table[j]) for j in range(1, n_cols)]
+            ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+            reference_write_csv(str(ref), first_name, table[0], columns)
+            cli.write_csv(str(got), first_name, table[0], columns)
+            assert got.read_bytes() == ref.read_bytes(), n_rows
+
+    def test_edge_values_each_column(self, tmp_path):
+        # each edge value appears once in each of the three columns
+        values = np.array(EDGE_VALUES)
+        columns = [("a", values[::-1]), ("b", values)]
+        ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+        reference_write_csv(str(ref), "t", values, columns)
+        cli.write_csv(str(got), "t", values, columns)
+        assert got.read_bytes() == ref.read_bytes()
+        assert got.read_text().splitlines()[1:4] == [
+            "-0,9007199254740992,-0", "0,-1e-300,0", "nan,1e+308,nan"]
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_unequal_lengths_rejected(self, tmp_path, short):
+        # zip(*data) cut every column to the shortest; now nothing is written
+        out = tmp_path / "x.csv"
+        first, col = np.arange(5.0), np.arange(4.0)
+        data = [first, col] if short else [col, first]
+        with pytest.raises(ValueError, match="equal length"):
+            cli.write_csv(str(out), "t", data[0], [("a", data[1])])
+        assert not out.exists()

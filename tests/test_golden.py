@@ -2,6 +2,8 @@
 
 The header and the ``t`` column must match byte for byte, every value column
 to 1e-12, and each manifest byte for byte apart from its ``*.version`` lines.
+Every cell of a fresh run must also be written as ``%.17g``, which the 1e-12
+comparison alone would not catch.
 Regenerate with ``python tests/golden/regenerate.py``.
 """
 import os
@@ -39,5 +41,6 @@ def test_figure_matches_golden(index, tmp_path):
         assert row[0] == ref_row[0]
         worst = max([worst] + [abs(float(a) - float(b)) for a, b in zip(row[1:], ref_row[1:])])
     assert worst <= VALUE_TOL
+    assert [cell for row in got[1:] for cell in row if "%.17g" % float(cell) != cell] == []
 
     assert _manifest(out + ".manifest") == _manifest(golden + ".manifest")
