@@ -26,8 +26,8 @@ from .dissipative import (
     integrate_reduced,
 )
 from .ensemble import (
-    MAX_TERMS,
     TlfEnsemble,
+    _check_budget,
     coherence_broad_erfc,
     coherence_broad_integral,
     coherence_broad_linear,
@@ -39,7 +39,7 @@ from .ensemble import (
     sample_spatial_couplings,
     sample_uniform_couplings,
 )
-from .errors import CapacityError, InvalidInputError, TlfsimError
+from .errors import InvalidInputError, TlfsimError
 from .microscopic import MaterialParams, average_variance_mc
 from .model import JcParams, ThermalContext, coherence_gr, coherence_gr_short_time
 from .single_fluctuator import (
@@ -136,7 +136,6 @@ SCHEMAS = {
         "boxHi": (_f(lo=0, lo_open=True), 10.0, "spatial sampler box upper edge"),
         "w": (_f(lo=0, lo_open=True), 1.0, "spatial sampler coupling scale"),
         "kT": (_f(lo=0, lo_open=True), None, "thermal energy; omit for the scale-separated limit"),
-        "cap": (_i(lo=1), 20, "exact-sum size cap (cost 2^N)"),
     },
     "continuum": {
         "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
@@ -323,16 +322,15 @@ def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple
         else:
             tlfs = sample_spatial_couplings(p["n"], p["dim"], (p["boxLo"], p["boxHi"]),
                                             p["w"], p["g"], rng)
-        s["ens"] = TlfEnsemble(tlfs, s["ctx"], cap=p["cap"])
+        s["ens"] = TlfEnsemble(tlfs, s["ctx"])
         stats = s["stats"] = ensemble_stats(s["ens"])
         resolved.update({"mu": stats.mu, "sigma": stats.sigma, "R": stats.r,
                          "couplings": ",".join(f"{tlf.lam:.17g}" for tlf in tlfs)})
     elif kind == "continuum":
         s["stats"] = EnsembleStats(mu=p["mu"], sigma2=p["sigma"] ** 2)
     elif kind == "micro":
-        if t.size * p["nSamples"] > MAX_TERMS:
-            raise CapacityError(f"micro scan of {t.size} temperatures x {p['nSamples']} "
-                                f"samples is more than {MAX_TERMS} Monte-Carlo draws")
+        _check_budget(p["nSamples"], t.size,
+                      f"micro scan of {p['nSamples']} Monte-Carlo draws per temperature")
         mat = MaterialParams(chi=p["chi"], d=p["d"], j0=p["j0"], r0=p["r0"],
                              cos_theta=p["cosTheta"])
         seeds = rng.integers(0, 2**63 - 1, size=t.size)

@@ -33,6 +33,7 @@ from .model import (
     JcParams,
     ThermalContext,
     coherence_gr,
+    thermal_population,
     _as_time,
     _exp_sum,
     _mixture_coherence,
@@ -66,12 +67,9 @@ class TlfEnsemble:
 
     tlfs: tuple[TlfSpec, ...]
     ctx: ThermalContext
-    cap: int = 20  # exact evaluation costs 2^N
 
-    def __init__(self, tlfs, ctx: ThermalContext, cap: int = 20) -> None:
-        object.__setattr__(self, "tlfs", tuple(tlfs))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "cap", cap)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tlfs", tuple(self.tlfs))
 
     @property
     def n(self) -> int:
@@ -119,15 +117,29 @@ def _configuration_table(ens: TlfEnsemble) -> tuple[np.ndarray, np.ndarray]:
     lam_sum = np.zeros(1)
     prob = np.ones(1)
     for tlf in ens.tlfs:
-        th = ens.ctx.tanh_factor(tlf.epsilon)
-        p_plus, p_minus = (1.0 - th) / 2.0, (1.0 + th) / 2.0
+        p_plus, p_minus = thermal_population(tlf.epsilon, ens.ctx)
         lam_sum = np.concatenate([lam_sum + tlf.lam, lam_sum - tlf.lam])
         prob = np.concatenate([prob * p_plus, prob * p_minus])
     return lam_sum, prob
 
 
-# Work budget: configurations or nodes (the CLI: Monte-Carlo draws) x points.
+# Work budget: configurations, nodes or Monte-Carlo draws x points.
 MAX_TERMS = 2**28
+
+
+def _check_budget(count, points: int, what: str) -> None:
+    """Raise CapacityError when count x max(points, 256) exceeds MAX_TERMS.
+
+    Every costly kernel calls this before it allocates: ``count`` is what it
+    sums or draws per point.  Per-count arrays are allocated whole, so fewer
+    than 256 points count as 256, which keeps them at 2^20 elements or fewer.
+    """
+    terms = count * max(points, 256)
+    if terms > MAX_TERMS:
+        # 2^N for a large N is an int that no float can hold
+        shown = f"{terms:.6g}" if terms < 1e300 else "over 1e300"
+        raise CapacityError(f"{what} at {points} points (at least 256 counted) is "
+                            f"{shown} terms, more than {MAX_TERMS}")
 
 
 def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
@@ -138,22 +150,12 @@ def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     2^N amplitudes are summed as 2^(N+1) plain exponentials, blocked on
     equispaced grids (see the module docstring).  Returns the shape of t.
 
-    Raises CapacityError, before any evaluation, beyond the configured
-    fluctuator cap or beyond MAX_TERMS terms 2^N len(t) (use the
-    continuum approximation instead), and DegenerateEigensystemError if any
+    Raises CapacityError, before any evaluation, when 2^N configurations
+    exceed the work budget (see _check_budget; N <= 20 at any grid size, use
+    the continuum approximation beyond), and DegenerateEigensystemError if any
     configuration shifts the system exactly onto the degenerate point.
     """
-    if ens.n > ens.cap:
-        raise CapacityError(
-            f"exact ensemble sum over 2^{ens.n} configurations exceeds cap "
-            f"N <= {ens.cap}; use coherence_continuum"
-        )
-    terms = 2**ens.n * np.size(t)
-    if terms > MAX_TERMS:
-        raise CapacityError(
-            f"exact ensemble sum over 2^{ens.n} configurations at {np.size(t)} times is "
-            f"{terms:.6g} terms, more than {MAX_TERMS}; use coherence_continuum"
-        )
+    _check_budget(2**ens.n, np.size(t), f"exact ensemble sum over 2^{ens.n} configurations")
     if ens.n == 0:
         return coherence_gr(params, t)
     lam_sum, prob = _configuration_table(ens)
@@ -182,7 +184,8 @@ def coherence_continuum(
     inner products and the Gaussian-scaled weights as probabilities: 2K plain
     exponentials for K nodes, blocked on equispaced grids.  Returns the shape
     of t.  Raises CapacityError, before any evaluation, when resolving the
-    phase at the largest t needs more panels than the last refinement reaches.
+    phase at the largest t needs more panels than the last refinement reaches,
+    or when the first pass's nodes exceed the work budget (see _check_budget).
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_continuum requires sigma2 > 0")
@@ -198,6 +201,8 @@ def coherence_continuum(
             f"its refinements reach {reach}"
         )
     edges = oscillation_edges(lo, hi, 2.0 * t_max)
+    nodes = 12 * (edges.size - 1)
+    _check_budget(nodes, arr.size, f"continuum quadrature over {nodes} nodes")
 
     def evaluate(edges: np.ndarray):
         nodes, weights = panel_nodes(edges, order=12)
@@ -277,9 +282,9 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
     whole grid.  The u-panels are geometric joined with a step of
     pi / (2 phi_max); order 16 is checked against order 8 to rel_tol.
 
-    Raises CapacityError, before any evaluation, when order-16 nodes times
-    max(len(t), 256) exceed MAX_TERMS, and NumericalError when the two orders
-    disagree.
+    Raises CapacityError, before any evaluation, when the order-16 nodes
+    exceed the work budget (see _check_budget), and NumericalError when the
+    two orders disagree.
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_broad_integral requires sigma2 > 0")
@@ -299,11 +304,7 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
         # geometric edges, which share both ends, they give G - 2 more panels
         n_lin = [oscillation_panels(u_lo, 1.0 / lam_cut, np.max(phi), 0) for u_lo, _ in sides]
         nodes = 16 * sum(n + _BROAD_GEOM_EDGES - 2 for n in n_lin)
-        # node arrays are allocated whole, so a short grid counts as 256 times
-        terms = nodes * max(flat.size, 256)
-        if terms > MAX_TERMS:
-            raise CapacityError(f"broad integral over {nodes:.6g} nodes at {flat.size} times "
-                                f"(at least 256) is {terms:.6g} terms, more than {MAX_TERMS}")
+        _check_budget(nodes, flat.size, f"broad integral over {nodes:.6g} nodes")
         edges = [(np.union1d(np.geomspace(u_lo, 1.0 / lam_cut, _BROAD_GEOM_EDGES),
                              np.linspace(u_lo, 1.0 / lam_cut, int(n) + 1)), sign)
                  for (u_lo, sign), n in zip(sides, n_lin)]

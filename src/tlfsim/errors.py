@@ -14,7 +14,7 @@ class DegenerateEigensystemError(TlfsimError):
 
 
 class CapacityError(TlfsimError):
-    """A requested computation exceeds a configured size cap."""
+    """A requested computation exceeds the work budget or a size limit."""
 
 
 class NumericalError(TlfsimError):

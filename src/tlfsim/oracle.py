@@ -51,6 +51,7 @@ _SIGMA_Z = np.diag([1.0, -1.0])
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |e><g|
 _SIGMA_MINUS = _SIGMA_PLUS.T
 _I2 = np.eye(2)
+_MAX_DIM = 4096  # largest Hilbert dimension the dense oracles build
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class HilbertSpec:
 
     n_osc: int
     n_tlf: int
-    cap: int = 4096
 
     def __post_init__(self) -> None:
         if self.n_osc < 2:
@@ -76,9 +76,9 @@ class HilbertSpec:
         return (self.n_osc, 2) + (2,) * self.n_tlf
 
     def check_cap(self) -> None:
-        if self.dim > self.cap:
+        if self.dim > _MAX_DIM:
             raise CapacityError(
-                f"Hilbert dimension {self.dim} exceeds cap {self.cap}; "
+                f"Hilbert dimension {self.dim} exceeds {_MAX_DIM}; "
                 "use the analytic ensemble sums for larger systems"
             )
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tlfsim
-from tlfsim import cli
+from tlfsim import cli, ensemble
 from tlfsim.cli import main, validate_config
 from tlfsim.microscopic import McEstimate
 
@@ -36,6 +36,21 @@ class TestJcOnly:
         assert rc == 0
         data = read_csv(out)
         assert data["gr"].min() == pytest.approx(0.2 / omega, abs=1e-3)
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("kernel evaluated past the work budget")
+
+
+def _assert_fails_fast(tmp_path, capsys, argv, needle):
+    """``argv`` exits 3 within 5 s with one line naming ``needle``, and no CSV."""
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert needle in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestValidation:
@@ -120,43 +135,25 @@ class TestValidation:
         assert "numerical error" in capsys.readouterr().err
 
     def test_exact_sum_work_budget_fails_fast(self, tmp_path, capsys, monkeypatch):
-        def not_called(*args, **kwargs):
-            raise AssertionError("kernel evaluated past the work budget")
+        monkeypatch.setattr("tlfsim.ensemble._mixture_coherence", _not_called)
+        for flags in (["--n", "20", "--n-points", "100000"], ["--n", "21", "--n-points", "2"],
+                      ["--n", "2000", "--n-points", "2"]):
+            _assert_fails_fast(tmp_path, capsys, ["ensemble", *flags], "configurations")
 
-        monkeypatch.setattr("tlfsim.ensemble._mixture_coherence", not_called)
-        start = time.perf_counter()
-        rc = main(["ensemble", "--n", "20", "--n-points", "100000",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 3
-        assert time.perf_counter() - start < 5.0
-        assert "terms" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+    def test_continuum_work_budget_fails_fast(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("tlfsim.ensemble._mixture_coherence", _not_called)
+        _assert_fails_fast(tmp_path, capsys, ["continuum", "--t-max", "40000", "--n-points",
+                                              "2000", "--methods", "continuum"], "nodes")
 
     def test_broad_work_budget_fails_fast(self, tmp_path, capsys, monkeypatch):
-        def not_called(*args, **kwargs):
-            raise AssertionError("kernel evaluated past the work budget")
-
-        monkeypatch.setattr("tlfsim.ensemble._exp_sum", not_called)
-        start = time.perf_counter()
-        rc = main(["continuum", "--methods", "broad", "--n-points", "1000000",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 3
-        assert time.perf_counter() - start < 5.0
-        assert "terms" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        monkeypatch.setattr("tlfsim.ensemble._exp_sum", _not_called)
+        _assert_fails_fast(tmp_path, capsys,
+                           ["continuum", "--methods", "broad", "--n-points", "1000000"], "terms")
 
     def test_micro_work_budget_fails_fast(self, tmp_path, capsys, monkeypatch):
-        def not_called(*args, **kwargs):
-            raise AssertionError("sampled past the work budget")
-
-        monkeypatch.setattr(cli, "average_variance_mc", not_called)
-        start = time.perf_counter()
-        rc = main(["micro", "--n-points", "1000000", "--out", str(tmp_path / "x.csv")])
-        assert rc == 3
-        assert time.perf_counter() - start < 5.0
-        err = capsys.readouterr().err
-        assert "Monte-Carlo draws" in err and err.count("\n") == 1
-        assert not (tmp_path / "x.csv").exists()
+        monkeypatch.setattr(cli, "average_variance_mc", _not_called)
+        for flags in (["--n-points", "1000000"], ["--n-points", "2", "--n-samples", "2000000"]):
+            _assert_fails_fast(tmp_path, capsys, ["micro", *flags], "Monte-Carlo draws")
 
     def test_micro_work_budget_boundary(self, tmp_path, monkeypatch):
         calls = []
@@ -167,12 +164,23 @@ class TestValidation:
                               truncation_remainder=0.0)
 
         monkeypatch.setattr(cli, "average_variance_mc", estimate)
-        monkeypatch.setattr(cli, "MAX_TERMS", 3 * 10_000)
+        monkeypatch.setattr(ensemble, "MAX_TERMS", 257 * 10_000)
         argv = ["micro", "--n-samples", "10000", "--out", str(tmp_path / "x.csv")]
-        assert main(argv + ["--n-points", "3"]) == 0
-        assert len(calls) == 3
-        assert main(argv + ["--n-points", "4"]) == 3
-        assert len(calls) == 3
+        assert main(argv + ["--n-points", "257"]) == 0
+        assert len(calls) == 257
+        assert main(argv + ["--n-points", "258"]) == 3
+        assert len(calls) == 257
+
+    def test_cap_knob_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "--cap", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cap.conf"
+        cfg.write_text("kind = ensemble\ncap = 5\n")
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cap: unknown key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_figure_refuses_subcommand_flags(self, tmp_path, capsys):
         out = tmp_path / "f1.csv"

@@ -106,20 +106,21 @@ class TestExactEnsemble:
         single = ts.coherence_exact_single(params, tlfs[0], ss, t)
         assert np.abs(padded - single).max() < 1e-13
 
-    def test_cap_exceeded(self, ss):
-        ens = uniform_ensemble(3, 0.01, ss, 2)
-        small_cap = ts.TlfEnsemble(ens.tlfs, ss, cap=2)
-        with pytest.raises(CapacityError):
-            ts.coherence_exact_ensemble(ts.JcParams(1.0, 1.0, 0.1), small_cap, 1.0)
+    def test_cap_exceeded(self, ss, monkeypatch):
+        # the 256-point floor bounds N at 20 for any grid, even a single time
+        ens = uniform_ensemble(21, 0.01, ss, 2)
+        monkeypatch.setattr(ensemble, "_configuration_table", None)  # must not be reached
+        with pytest.raises(CapacityError, match=r"2\^21 configurations at 1 points"):
+            ts.coherence_exact_ensemble(ts.JcParams(1.0, 1.0, 0.1), ens, 1.0)
 
     def test_work_budget(self, ss, monkeypatch):
-        monkeypatch.setattr(ensemble, "MAX_TERMS", 64)
+        monkeypatch.setattr(ensemble, "MAX_TERMS", 4 * 257)
         params, ens = ts.JcParams(1.0, 1.0, 0.1), uniform_ensemble(2, 0.01, ss, 2)
-        at_budget = ts.coherence_exact_ensemble(params, ens, np.linspace(0.0, 10.0, 16))
-        assert at_budget.shape == (16,)
+        at_budget = ts.coherence_exact_ensemble(params, ens, np.linspace(0.0, 10.0, 257))
+        assert at_budget.shape == (257,)
         monkeypatch.setattr(ensemble, "_mixture_coherence", None)  # must not be reached
-        with pytest.raises(CapacityError, match="68 terms"):
-            ts.coherence_exact_ensemble(params, ens, np.linspace(0.0, 10.0, 17))
+        with pytest.raises(CapacityError, match="1032 terms"):
+            ts.coherence_exact_ensemble(params, ens, np.linspace(0.0, 10.0, 258))
 
     def test_degenerate_configuration(self, ss):
         params = ts.JcParams(1.0, 1.0, 0.0)
@@ -151,6 +152,19 @@ def nudged_linspace():
     t = np.linspace(0.0, 400.0, 500)
     t[137] += 1e-9
     return t
+
+
+class TestWorkBudget:
+    def test_check_budget_boundary(self):
+        # MAX_TERMS = 2^28: 2^20 terms per point, with short grids counted as 256
+        ensemble._check_budget(2**20, 2, "probe")
+        ensemble._check_budget(2**20, 256, "probe")
+        with pytest.raises(CapacityError, match="probe at 2 points"):
+            ensemble._check_budget(2**20 + 1, 2, "probe")
+        with pytest.raises(CapacityError, match="probe at 257 points"):
+            ensemble._check_budget(2**20, 257, "probe")
+        with pytest.raises(CapacityError, match="over 1e300 terms"):
+            ensemble._check_budget(2**2000, 2, "probe")  # beyond float range
 
 
 class TestMixtureKernel:
@@ -423,7 +437,7 @@ class TestBroadReference:
         # of ~250 MB each, so a short grid counts as 256 times
         monkeypatch.setattr(ensemble, "_exp_sum", None)  # must not be reached
         stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
-        with pytest.raises(CapacityError, match="at 2 times"):
+        with pytest.raises(CapacityError, match="at 2 points"):
             ts.coherence_broad_integral(0.01, stats, [0.0, 1e6])
 
 
