@@ -22,10 +22,6 @@ def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-# Largest panel count oscillation_edges returns.
-MAX_PANELS = 40000
-
-
 def oscillation_panels(lo: float, hi: float, freq: float, min_panels: int = 16) -> float:
     """Panels over [lo, hi] that each span at most ~pi/2 of a phase slope |freq|.
 
@@ -34,11 +30,3 @@ def oscillation_panels(lo: float, hi: float, freq: float, min_panels: int = 16) 
     """
     return float(np.ceil((hi - lo) * abs(freq) / (np.pi / 2.0))) + min_panels
 
-
-def oscillation_edges(lo: float, hi: float, freq: float) -> np.ndarray:
-    """Panel edges over [lo, hi] resolving a phase slope |freq| (rad per unit).
-
-    Uses oscillation_panels, capped at MAX_PANELS.
-    """
-    n = int(min(oscillation_panels(lo, hi, freq), MAX_PANELS))
-    return np.linspace(lo, hi, n + 1)

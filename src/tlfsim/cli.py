@@ -128,7 +128,7 @@ SCHEMAS = {
         "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
         "g": (_f(lo=0), 0.1, "oscillator-TLS coupling"),
         "delta": (_f(), 0.0, "TLS-oscillator detuning"),
-        "n": (_i(lo=1), 5, "number of fluctuators"),
+        "n": (_i(lo=1, hi=2**20), 5, "number of fluctuators"),
         "sampler": (_choice("uniform", "spatial"), "uniform", "coupling sampler"),
         "halfWidth": (_f(lo=0, lo_open=True), 0.005, "uniform sampler half-width"),
         "dim": (_i(lo=2), 2, "spatial sampler host dimension"),
@@ -710,7 +710,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except TlfsimError as exc:
+    except (TlfsimError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

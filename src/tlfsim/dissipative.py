@@ -125,14 +125,32 @@ def integrate_reduced(g: float, lam: float, gamma: float, t_grid) -> CoherenceTr
     return CoherenceTrace(t=t_arr, values=values, label="reduced-ode")
 
 
+def _damped_rates(g: float, lam: float, gamma: float, regime: DampingRegime):
+    """(Gamma, kappa^2) of a damped-oscillator regime: the envelope decays at
+    Gamma and oscillates at kappa.  None in the intermediate regime, whose
+    decay is a plain exponential."""
+    if regime is DampingRegime.WEAK_COUPLING:
+        return gamma, lam**2 - gamma**2
+    if regime is DampingRegime.STRONG_WEAK_DAMP:
+        return gamma, (g**2 / (2.0 * abs(lam))) ** 2 - gamma**2
+    if regime is DampingRegime.STRONG_STRONG_DAMP:
+        gamma_eff = lam**2 / gamma
+        return gamma_eff, g**2 - gamma_eff**2
+    return None
+
+
+def _critical(gamma_eff: float, kappa_sq: float) -> bool:
+    """Critical damping: kappa^2 vanishes against Gamma^2."""
+    return abs(kappa_sq) < 1e-12 * max(gamma_eff**2, 1e-300)
+
+
 def _damped_bracket(gamma_eff: float, kappa_sq: float, t: np.ndarray) -> np.ndarray:
     """cos(kappa t) + (Gamma/kappa) sin(kappa t), analytically continued.
 
     kappa_sq may be negative (overdamped: cosh/sinh) or zero (critical:
     1 + Gamma t); the expression is continuous in kappa_sq.
     """
-    scale = max(gamma_eff**2, abs(kappa_sq), 1e-300)
-    if abs(kappa_sq) < 1e-12 * scale:
+    if _critical(gamma_eff, kappa_sq):
         return 1.0 + gamma_eff * t
     kappa = complex(math.sqrt(abs(kappa_sq)))
     if kappa_sq < 0:
@@ -155,7 +173,8 @@ def coherence_weak_damped(g: float, lam: float, gamma: float, t):
             stacklevel=2,
         )
     arr = _as_time(t)
-    env = np.exp(-gamma * arr) * _damped_bracket(gamma, lam**2 - gamma**2, arr)
+    gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, DampingRegime.WEAK_COUPLING)
+    env = np.exp(-gamma_eff * arr) * _damped_bracket(gamma_eff, kappa_sq, arr)
     out = np.abs(np.cos(g * arr) * env)
     return out if arr.ndim else float(out)
 
@@ -183,13 +202,8 @@ def coherence_strong_damped(
     arr = _as_time(t)
     if regime is DampingRegime.STRONG_INTERMEDIATE:
         out = np.exp(-(g**2) * gamma * arr / (2.0 * lam**2))
-    elif regime is DampingRegime.STRONG_WEAK_DAMP:
-        gamma_eff = gamma
-        kappa_sq = (g**2 / (2.0 * abs(lam))) ** 2 - gamma_eff**2
-        out = np.exp(-gamma_eff * arr) * np.abs(_damped_bracket(gamma_eff, kappa_sq, arr))
-    elif regime is DampingRegime.STRONG_STRONG_DAMP:
-        gamma_eff = lam**2 / gamma
-        kappa_sq = g**2 - gamma_eff**2
+    elif regime in (DampingRegime.STRONG_WEAK_DAMP, DampingRegime.STRONG_STRONG_DAMP):
+        gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, regime)
         out = np.exp(-gamma_eff * arr) * np.abs(_damped_bracket(gamma_eff, kappa_sq, arr))
     else:
         raise InvalidInputError(
@@ -241,19 +255,10 @@ def damping_character(g: float, lam: float, gamma: float) -> DampingCharacter | 
     Returns None in the intermediate regime, where the decay is a plain
     exponential with no oscillator analogue.
     """
-    regime = classify_regime(g, lam, gamma)
-    if regime is DampingRegime.WEAK_COUPLING:
-        kappa_sq = lam**2 - gamma**2
-        scale = max(lam**2, gamma**2)
-    elif regime is DampingRegime.STRONG_WEAK_DAMP:
-        kappa_sq = (g**2 / (2.0 * abs(lam))) ** 2 - gamma**2
-        scale = max((g**2 / (2.0 * abs(lam))) ** 2, gamma**2)
-    elif regime is DampingRegime.STRONG_STRONG_DAMP:
-        gamma_eff = lam**2 / gamma
-        kappa_sq = g**2 - gamma_eff**2
-        scale = max(g**2, gamma_eff**2)
-    else:
+    rates = _damped_rates(g, lam, gamma, classify_regime(g, lam, gamma))
+    if rates is None:
         return None
-    if abs(kappa_sq) < 1e-12 * max(scale, 1e-300):
+    gamma_eff, kappa_sq = rates
+    if _critical(gamma_eff, kappa_sq):
         return DampingCharacter.CRITICAL
     return DampingCharacter.UNDERDAMPED if kappa_sq > 0 else DampingCharacter.OVERDAMPED

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, exp1
 
-from ._quadrature import MAX_PANELS, oscillation_edges, oscillation_panels, panel_nodes
+from ._quadrature import oscillation_panels, panel_nodes
 from .errors import (
     CapacityError,
     DegenerateEigensystemError,
@@ -135,9 +135,9 @@ def _check_budget(count, points: int, what: str) -> None:
     than 256 points count as 256, which keeps them at 2^20 elements or fewer.
     """
     terms = count * max(points, 256)
-    if terms > MAX_TERMS:
+    if not terms <= MAX_TERMS:  # a NaN count (0 x inf phase) is refused too
         # 2^N for a large N is an int that no float can hold
-        shown = f"{terms:.6g}" if terms < 1e300 else "over 1e300"
+        shown = "over 1e300" if terms >= 1e300 else f"{terms:.6g}"
         raise CapacityError(f"{what} at {points} points (at least 256 counted) is "
                             f"{shown} terms, more than {MAX_TERMS}")
 
@@ -168,60 +168,60 @@ def _gaussian(stats: EnsembleStats, lam: np.ndarray) -> np.ndarray:
     )
 
 
-# Panel doublings coherence_continuum tries after its first evaluation.
-_CONTINUUM_REFINEMENTS = 3
+# Gauss orders of the checked quadrature: a value and its check on the same
+# panels, so every panel costs the sum of both in nodes.
+_ORDERS = (16, 8)
+_NODES_PER_PANEL = sum(_ORDERS)
+
+
+def _checked_gauss(evaluate, t: np.ndarray, rel_tol: float, what: str) -> np.ndarray:
+    """evaluate(order) at the higher Gauss order, checked against the lower.
+
+    Both are taken on the same panels; a point whose two values differ by more
+    than rel_tol x max(|value|, 0.05) raises NumericalError, naming its t.
+    """
+    total, check = (evaluate(order) for order in _ORDERS)
+    bad = np.abs(total - check) > rel_tol * np.maximum(np.abs(total), 0.05)
+    if np.any(bad):
+        raise NumericalError(f"{what} not converged at t = {t[bad][0]:.6g}")
+    return total
 
 
 def coherence_continuum(
     params: JcParams, stats: EnsembleStats, t, rel_tol: float = 1e-8
 ):
-    """Gaussian continuum-limit coherence, by adaptive panel quadrature.
+    """Gaussian continuum-limit coherence, by checked panel quadrature.
 
     Integrates the Gaussian-weighted JC amplitude over inner products within
-    eight standard deviations of the mean (tail mass < 1e-15); the panel count
-    is doubled until two successive evaluations agree to rel_tol.  Each
-    evaluation is the exact sum's mixture kernel with the quadrature nodes as
-    inner products and the Gaussian-scaled weights as probabilities: 2K plain
-    exponentials for K nodes, blocked on equispaced grids.  Returns the shape
-    of t.  Raises CapacityError, before any evaluation, when resolving the
-    phase at the largest t needs more panels than the last refinement reaches,
-    or when the first pass's nodes exceed the work budget (see _check_budget).
+    eight standard deviations of the mean (tail mass < 1e-15), on panels that
+    each span pi/2 of the phase at the largest t (at least 16), at Gauss order
+    16 checked against order 8 to rel_tol.  Each evaluation is the exact sum's
+    mixture kernel with the quadrature nodes as inner products and the
+    Gaussian-scaled weights as probabilities: 2K plain exponentials for K
+    nodes, blocked on equispaced grids.  Returns the shape of t.
+
+    Raises CapacityError, before any evaluation, when the nodes of both orders
+    exceed the work budget (see _check_budget), and NumericalError when the
+    two orders disagree.
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_continuum requires sigma2 > 0")
     arr = _as_time(t)
+    flat = arr.ravel()
     lo, hi = stats.mu - 8.0 * stats.sigma, stats.mu + 8.0 * stats.sigma
-    t_max = float(np.max(arr, initial=0.0))
     # phase slope of exp(-i Lam t) exp(+/- i Omega(Lam) t / 2) is at most 2t
-    needed = oscillation_panels(lo, hi, 2.0 * t_max)
-    reach = MAX_PANELS * 2**_CONTINUUM_REFINEMENTS
-    if needed > reach:
-        raise CapacityError(
-            f"continuum quadrature needs {needed:.6g} panels to resolve t up to {t_max:.6g}; "
-            f"its refinements reach {reach}"
-        )
-    edges = oscillation_edges(lo, hi, 2.0 * t_max)
-    nodes = 12 * (edges.size - 1)
-    _check_budget(nodes, arr.size, f"continuum quadrature over {nodes} nodes")
+    panels = oscillation_panels(lo, hi, 2.0 * float(np.max(flat, initial=0.0)))
+    nodes = _NODES_PER_PANEL * panels
+    _check_budget(nodes, flat.size, f"continuum quadrature over {nodes:.6g} nodes")
+    edges = np.linspace(lo, hi, int(panels) + 1)
 
-    def evaluate(edges: np.ndarray):
-        nodes, weights = panel_nodes(edges, order=12)
-        wts = weights * _gaussian(stats, nodes)
-        return _mixture_coherence(params.g, params.delta, nodes, wts, arr)
+    def evaluate(order: int) -> np.ndarray:
+        lam, weights = panel_nodes(edges, order)
+        return _mixture_coherence(params.g, params.delta, lam,
+                                  weights * _gaussian(stats, lam), flat)
 
-    prev = evaluate(edges)
-    for _ in range(_CONTINUUM_REFINEMENTS):
-        n = edges.size - 1
-        edges = np.linspace(lo, hi, 2 * n + 1)
-        cur = evaluate(edges)
-        err = np.max(np.abs(cur - prev), initial=0.0)
-        if err <= rel_tol * max(1.0, float(np.max(np.abs(cur), initial=0.0))):
-            return cur
-        prev = cur
-    raise NumericalError(
-        f"continuum quadrature did not converge (last refinement change {err:.3g}); "
-        "the integrand may be too oscillatory for the requested grid"
-    )
+    out = _checked_gauss(evaluate, flat, rel_tol, "continuum quadrature")
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 def coherence_narrow(params: JcParams, stats: EnsembleStats, t):
@@ -282,7 +282,7 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
     whole grid.  The u-panels are geometric joined with a step of
     pi / (2 phi_max); order 16 is checked against order 8 to rel_tol.
 
-    Raises CapacityError, before any evaluation, when the order-16 nodes
+    Raises CapacityError, before any evaluation, when the nodes of both orders
     exceed the work budget (see _check_budget), and NumericalError when the
     two orders disagree.
     """
@@ -303,7 +303,7 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
         # linear panels span pi/2 of the phase phi_max u each; merged with the
         # geometric edges, which share both ends, they give G - 2 more panels
         n_lin = [oscillation_panels(u_lo, 1.0 / lam_cut, np.max(phi), 0) for u_lo, _ in sides]
-        nodes = 16 * sum(n + _BROAD_GEOM_EDGES - 2 for n in n_lin)
+        nodes = _NODES_PER_PANEL * sum(n + _BROAD_GEOM_EDGES - 2 for n in n_lin)
         _check_budget(nodes, flat.size, f"broad integral over {nodes:.6g} nodes")
         edges = [(np.union1d(np.geomspace(u_lo, 1.0 / lam_cut, _BROAD_GEOM_EDGES),
                              np.linspace(u_lo, 1.0 / lam_cut, int(n) + 1)), sign)
@@ -316,12 +316,8 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
             coef = np.concatenate([w * _gaussian(stats, sign / u) / u**2 for sign, u, w in parts])
             return _exp_sum(freq, coef, flat, _BROAD_WORK)[live] + window
 
-        total, check = evaluate(16), evaluate(8)
-        bad = np.abs(total - check) > rel_tol * np.maximum(np.abs(total), 0.05)
-        if np.any(bad):
-            raise NumericalError(f"broad-ensemble quadrature not converged at "
-                                 f"t = {flat[live][bad][0]:.6g} (lam_cut = {lam_cut:.3g})")
-        out[live] = np.abs(total)
+        out[live] = np.abs(_checked_gauss(evaluate, flat[live], rel_tol,
+                                          "broad-ensemble quadrature"))
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 

@@ -138,10 +138,12 @@ def average_variance_mc(
     z_r = (mat.r0**-d - r_max**-d) / d
     # u importance density p(u) ~ 1/u on [u_min, 1]
     log_span = math.log(1.0 / u_min)
-    u = u_min ** (1.0 - rng.uniform(0.0, 1.0, n_samples))
-    eps = rng.uniform(0.0, eps_max, n_samples)
-
-    sech2 = 1.0 / np.cosh(eps / (2.0 * kt)) ** 2
+    # u_min ** (1 - U) and 1 / cosh(eps / 2kT) ** 2, each in its draw's array
+    u = rng.uniform(0.0, 1.0, n_samples)
+    np.power(u_min, np.subtract(1.0, u, out=u), out=u)
+    sech2 = rng.uniform(0.0, eps_max, n_samples)
+    np.cosh(np.divide(sech2, 2.0 * kt, out=sech2), out=sech2)
+    np.divide(1.0, np.square(sech2, out=sech2), out=sech2)
     prefactor = (
         _solid_angle(d)
         * density
@@ -153,7 +155,10 @@ def average_variance_mc(
         * log_span
         / 2.0
     )
-    weights = prefactor * np.sqrt(1.0 - u) * sech2
+    # prefactor * sqrt(1 - u) * sech2, in u's array
+    weights = np.sqrt(np.subtract(1.0, u, out=u), out=u)
+    np.multiply(prefactor, weights, out=weights)
+    np.multiply(weights, sech2, out=weights)
     value = float(weights.mean())
     stderr = float(weights.std(ddof=1) / math.sqrt(n_samples))
     return McEstimate(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -214,7 +215,33 @@ class TestValidation:
                    "--methods", "continuum", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert time.perf_counter() - start < 5.0
-        assert "panels" in capsys.readouterr().err
+        assert "nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--sigma", "1e160"],
+                                       ["--mu", "1e300", "--methods", "broad"]],
+                             ids=["sigma-squared", "broad-window"])
+    def test_overflow_is_numerical(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["continuum", *flags, "--n-points", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nan_phase_span_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # hi - lo rounds to 0 while 2 t_max overflows: 0 x inf panels
+        monkeypatch.setattr("tlfsim.ensemble._mixture_coherence", _not_called)
+        _assert_fails_fast(tmp_path, capsys,
+                           ["continuum", "--mu", "1", "--sigma", "1e-30", "--t-max", "1e308",
+                            "--n-points", "5", "--methods", "continuum"], "nan terms")
+
+    def test_fluctuator_count_bounded(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["ensemble", "--n", "1048577", "--n-points", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n: must be <= 1048576 (got '1048577')\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -217,6 +217,26 @@ class TestRegimes:
         assert ts.damping_character(0.1, 0.01, 0.05) is DampingCharacter.OVERDAMPED
         assert ts.damping_character(0.01, 0.1, 0.1) is None
 
+    @pytest.mark.parametrize("g, lam, gamma", [(0.1, 0.01, 0.01), (0.01, 0.5, 0.0001),
+                                               (0.01, 0.1, 1.0)],
+                             ids=["weak-coupling", "strong-weak-damp", "strong-strong-damp"])
+    def test_critical_character_matches_bracket(self, g, lam, gamma):
+        # at critical damping the flag and the closed form take the same
+        # branch: the bracket is exactly 1 + Gamma t
+        assert ts.damping_character(g, lam, gamma) is DampingCharacter.CRITICAL
+        t = np.linspace(0.0, 50.0, 7)
+        regime = ts.classify_regime(g, lam, gamma)
+        gamma_eff = lam**2 / gamma if regime is DampingRegime.STRONG_STRONG_DAMP else gamma
+        expected = np.exp(-gamma_eff * t) * (1.0 + gamma_eff * t)
+        if regime is DampingRegime.WEAK_COUPLING:
+            vals = ts.coherence_weak_damped(g, lam, gamma, t)
+            expected = np.abs(np.cos(g * t) * expected)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                vals = ts.coherence_strong_damped(g, lam, gamma, t)
+        assert np.array_equal(vals, expected)
+
     def test_regime_improvement_weak(self):
         # deeper g/|lam| shrinks the closed-form error against the ODE
         lam, gamma = 0.01, 0.01

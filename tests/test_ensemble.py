@@ -275,25 +275,63 @@ class TestContinuum:
                                    ts.EnsembleStats(mu=0.0, sigma2=0.0), 1.0)
 
     def test_unresolvable_phase_fails_before_evaluation(self, monkeypatch):
-        # 16 sigma * 2 t / (pi/2) panels are needed; the last refinement
-        # reaches 8 * 40000, so t = 1e7 at sigma = 0.03 is out of reach
+        # 16 sigma * 2 t / (pi/2) panels of 24 nodes: t = 1e7 at sigma = 0.03
+        # needs ~1.5e8 nodes, far past the budget
         def evaluated(*args):
-            raise AssertionError("quadrature evaluated past its panel reach")
+            raise AssertionError("quadrature evaluated past the work budget")
 
         monkeypatch.setattr(ensemble, "_mixture_coherence", evaluated)
         stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="nodes"):
             ts.coherence_continuum(ts.JcParams(1.0, 1.0, 0.01), stats, [0.0, 1e7])
 
-    def test_largest_reachable_time_evaluates(self):
+    @pytest.mark.parametrize("over", [False, True], ids=["fits", "next-panel"])
+    def test_budget_edge(self, monkeypatch, over):
+        # two points count as 256: the budget admits MAX_TERMS // (24 * 256)
+        # panels, 16 of them the floor and the rest one per pi/2 of phase
         sigma = 0.03
-        # the largest t whose phase the last refinement still resolves
-        t_edge = (8 * 40000 - 16) * (math.pi / 2) / (32 * sigma)
+        phase_panels = ensemble.MAX_TERMS // (24 * 256) - 16 + over
+        t_end = (phase_panels - 0.5) * (math.pi / 2) / (32 * sigma)
         stats = ts.EnsembleStats(mu=0.0, sigma2=sigma**2)
-        vals = ts.coherence_continuum(ts.JcParams(1.0, 1.0, 0.01), stats,
-                                      [0.0, t_edge])
-        assert vals[0] == pytest.approx(1.0, abs=1e-8)
-        assert np.all(np.isfinite(vals))
+        params = ts.JcParams(1.0, 1.0, 0.01)
+        if over:
+            monkeypatch.setattr(ensemble, "_mixture_coherence", None)  # must not be reached
+            with pytest.raises(CapacityError, match="at 2 points"):
+                ts.coherence_continuum(params, stats, [0.0, t_end])
+        else:
+            vals = ts.coherence_continuum(params, stats, [0.0, t_end])
+            assert vals[0] == pytest.approx(1.0, abs=1e-8)
+            assert np.all(np.isfinite(vals))
+
+    def test_work_budget(self, monkeypatch):
+        # the budget counts the nodes of both Gauss orders, as evaluated
+        params, stats = ts.JcParams(1.0, 1.0, 0.01), ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
+        t = np.linspace(0.0, 600.0, 300)
+        sizes = []
+
+        def spy(g, delta, lam, *args):
+            sizes.append(lam.size)
+            return model._mixture_coherence(g, delta, lam, *args)
+
+        monkeypatch.setattr(ensemble, "_mixture_coherence", spy)
+        ref = ts.coherence_continuum(params, stats, t)
+        assert len(sizes) == 2 and sizes[0] == 2 * sizes[1]
+        terms = sum(sizes) * t.size
+        monkeypatch.setattr(ensemble, "MAX_TERMS", terms)
+        assert np.array_equal(ts.coherence_continuum(params, stats, t), ref)
+        monkeypatch.setattr(ensemble, "MAX_TERMS", terms - 1)
+        monkeypatch.setattr(ensemble, "_mixture_coherence", None)  # must not be reached
+        with pytest.raises(CapacityError, match=re.escape(f"{terms:.6g} terms")):
+            ts.coherence_continuum(params, stats, t)
+
+    def test_order_disagreement_raises(self, monkeypatch):
+        # one panel over 16 sigma cannot resolve hundreds of radians of
+        # phase, so orders 16 and 8 disagree
+        monkeypatch.setattr(ensemble, "oscillation_panels", lambda *args: 1.0)
+        stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
+        with pytest.raises(NumericalError, match="not converged at t = "):
+            ts.coherence_continuum(ts.JcParams(1.0, 1.0, 0.01), stats,
+                                   np.linspace(0.0, 600.0, 30))
 
 
 class TestNarrow:
@@ -424,7 +462,8 @@ class TestBroadReference:
 
         monkeypatch.setattr(ensemble, "_exp_sum", spy)
         ref = ts.coherence_broad_integral(0.01, stats, t)
-        terms = sizes[0] * t.size  # order-16 nodes x T
+        assert len(sizes) == 2 and sizes[0] == 2 * sizes[1]
+        terms = sum(sizes) * t.size  # nodes of both orders x T
         monkeypatch.setattr(ensemble, "MAX_TERMS", terms)
         assert np.array_equal(ts.coherence_broad_integral(0.01, stats, t), ref)
         monkeypatch.setattr(ensemble, "MAX_TERMS", terms - 1)

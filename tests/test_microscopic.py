@@ -81,7 +81,31 @@ class TestCouplingFromGeometry:
             ts.coupling_from_geometry(MAT2, 0.5, 0.3, +1)
 
 
+def reference_variance_mc(mat, density, u_min, eps_max, r_max, kt, n_samples, rng):
+    """The Monte-Carlo average as it was written before it worked in place:
+    each step of the weight a new array."""
+    d = mat.d
+    z_r = (mat.r0**-d - r_max**-d) / d
+    log_span = math.log(1.0 / u_min)
+    u = u_min ** (1.0 - rng.uniform(0.0, 1.0, n_samples))
+    eps = rng.uniform(0.0, eps_max, n_samples)
+    sech2 = 1.0 / np.cosh(eps / (2.0 * kt)) ** 2
+    prefactor = ((2.0 * math.pi if d == 2 else 4.0 * math.pi) * density * mat.j0**2
+                 * mat.cos_theta**2 * mat.r0 ** (2 * d) * z_r * eps_max * log_span / 2.0)
+    weights = prefactor * np.sqrt(1.0 - u) * sech2
+    return float(weights.mean()), float(weights.std(ddof=1) / math.sqrt(n_samples))
+
+
 class TestAverageVarianceMc:
+    @pytest.mark.parametrize("mat", [MAT2, MAT3], ids=["d2", "d3"])
+    @pytest.mark.parametrize("kt", [0.02, 0.1, 7.0])
+    def test_matches_reference_bytes(self, mat, kt):
+        est = ts.average_variance_mc(mat, kt=kt, n_samples=30_000,
+                                     rng=np.random.default_rng(21), **MC_KW)
+        ref = reference_variance_mc(mat, kt=kt, n_samples=30_000,
+                                    rng=np.random.default_rng(21), **MC_KW)
+        assert (est.value, est.stderr) == ref
+
     def test_linear_temperature_law(self):
         # kT in {1, 2, 4} * kT0, all << epsMax: a line through the origin
         kt0 = 0.05
