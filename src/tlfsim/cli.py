@@ -12,9 +12,7 @@ import errno
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from .ensemble import (
     sample_spatial_couplings,
     sample_uniform_couplings,
 )
-from .errors import InvalidInputError, TlfsimError
+from .errors import InvalidInputError, NumericalError, TlfsimError
 from .microscopic import MaterialParams, average_variance_mc
 from .model import JcParams, ThermalContext, coherence_gr, coherence_gr_short_time
 from .single_fluctuator import (
@@ -166,7 +164,6 @@ DEFAULT_T_MAX = {
     "dissipative": 2000.0,
     "ensemble": 500.0,
     "continuum": 600.0,
-    "micro": 1.0,  # unused; micro scans kT, not time
 }
 
 
@@ -176,12 +173,17 @@ class Scenario:
 
     kind: str
     params: dict
-    t_max: float
+    t_max: float | None  # None for micro, which scans kT, not time
     n_points: int
     seed: int
     methods: list[str]
     tolerance_profile: str = "default"
     notes: dict = field(default_factory=dict)
+
+    @property
+    def first_name(self) -> str:
+        """The CSV's first header: ``kT`` for micro's scan, else ``t``."""
+        return "kT" if self.kind == "micro" else "t"
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -242,7 +244,12 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     for key, (parse, default, _help) in SCHEMAS[kind].items():
         params[key] = take(key, parse, default)
 
-    t_max = take("tGrid.tMax", _T_MAX, _REQ)
+    if kind == "micro":
+        t_max = None
+        if raw.pop("tGrid.tMax", None) is not None:
+            errors.append("tGrid.tMax: micro scans kT from ktMin to ktMax and takes no time grid")
+    else:
+        t_max = take("tGrid.tMax", _T_MAX, _REQ)
     n_points = take("tGrid.nPoints", _N_POINTS, _REQ)
     seed = take("seed", _SEED, 0)
     profile = take("toleranceProfile", _choice(*TOLERANCE_PROFILES), "default")
@@ -272,29 +279,6 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     return Scenario(kind=kind, params=params, t_max=t_max, n_points=n_points,
                     seed=seed, methods=methods,
                     tolerance_profile=profile), []
-
-
-def _max_workers() -> int:
-    env = os.environ.get("TLFSIM_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InvalidInputError(f"TLFSIM_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise InvalidInputError(f"TLFSIM_THREADS must be >= 1, got {cap}")
-        return cap
-    return os.cpu_count() or 1
-
-
-def _evaluate(columns: list[tuple[str, object]]) -> list[tuple[str, np.ndarray]]:
-    """Run (tag, thunk) pairs, fanning out across threads; ordered assembly."""
-    workers = min(_max_workers(), max(len(columns), 1))
-    if workers == 1 or len(columns) == 1:
-        return [(tag, np.asarray(thunk())) for tag, thunk in columns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(tag, pool.submit(thunk)) for tag, thunk in columns]
-        return [(tag, np.asarray(fut.result())) for tag, fut in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +487,22 @@ def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndar
     t = sc.t_grid
     rng = np.random.default_rng(sc.seed)
     setups = []
-    for kind, p, names in scenarios:
-        setup, values = _setup(kind, p, rng, t)
-        setups.append((METHODS[kind], setup))
-        resolved.update(values if names is None
-                        else {name: values[key] for key, name in names.items()})
-    thunks = [(name, partial(setups[i][0][tag], setups[i][1], t, sc.tolerances))
-              for name, i, tag in columns]
-    return t, _evaluate(thunks), resolved
+    # Columns run one after another in this thread.  A non-finite value is
+    # refused below, so numpy's floating-point warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        for kind, p, names in scenarios:
+            setup, values = _setup(kind, p, rng, t)
+            setups.append((METHODS[kind], setup))
+            resolved.update(values if names is None
+                            else {name: values[key] for key, name in names.items()})
+        out = [(name, np.asarray(setups[i][0][tag](setups[i][1], t, sc.tolerances)))
+               for name, i, tag in columns]
+    for name, values in out:
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            raise NumericalError(f"column {name} is not finite at {sc.first_name} = "
+                                 f"{_fmt(t[np.argmax(bad)])}")
+    return t, out, resolved
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +546,7 @@ def write_manifest(path: str, sc: Scenario, extras: dict) -> None:
         f"scipy.version = {__import__('scipy').__version__}",
         f"kind = {sc.kind}",
         f"seed = {sc.seed}",
-        f"tGrid.tMax = {_fmt(sc.t_max)}",
+        *([] if sc.t_max is None else [f"tGrid.tMax = {_fmt(sc.t_max)}"]),
         f"tGrid.nPoints = {sc.n_points}",
         f"methods = {','.join(sc.methods)}",
         f"toleranceProfile = {sc.tolerance_profile}",
@@ -592,7 +584,7 @@ def run_scenario(sc: Scenario, out: str) -> None:
     """
     _check_output_dir(out)
     first, cols, extras = _scenario_columns(sc)
-    write_csv(out, "kT" if sc.kind == "micro" else "t", first, cols)
+    write_csv(out, sc.first_name, first, cols)
     write_manifest(out + ".manifest", sc, extras)
 
 
@@ -658,8 +650,8 @@ def _collect_raw(args: argparse.Namespace, kind: str | None) -> dict:
 
 def _default_grid(raw: dict, kind: str | None) -> dict:
     """Fill in the tGrid keys that neither the config nor a flag set."""
-    if kind is not None:
-        raw.setdefault("tGrid.tMax", repr(DEFAULT_T_MAX.get(kind, 200.0)))
+    if kind in DEFAULT_T_MAX:
+        raw.setdefault("tGrid.tMax", repr(DEFAULT_T_MAX[kind]))
     raw.setdefault("tGrid.nPoints", "1000")
     return raw
 
@@ -702,7 +694,8 @@ def main(argv: list[str] | None = None) -> int:
         if errors:
             return EXIT_VALIDATION
         if args.command == "validate":
-            print(f"ok: {sc.kind} scenario, {sc.n_points} points to t = {_fmt(sc.t_max)}, "
+            print(f"ok: {sc.kind} scenario, {sc.n_points} points to {sc.first_name} = "
+                  f"{_fmt(sc.t_grid[-1])}, "
                   f"methods {','.join(sc.methods)}")
         else:
             run_scenario(sc, args.out)
@@ -710,7 +703,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TlfsimError, OverflowError) as exc:
+    except (TlfsimError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

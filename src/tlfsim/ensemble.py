@@ -246,11 +246,9 @@ def coherence_narrow(params: JcParams, stats: EnsembleStats, t):
     return out if arr.ndim else float(out)
 
 
-# Broad integral: excision edge (units of sigma), geometric u-edges per side, and
-# a work array an eighth of the default (its sums have far more terms than times).
+# Broad integral: excision edge (units of sigma) and geometric u-edges per side.
 _BROAD_CUT = 1e-3
 _BROAD_GEOM_EDGES = 257
-_BROAD_WORK = 2**15
 
 
 def _excised_window(stats: EnsembleStats, phi: np.ndarray, lam_cut: float) -> np.ndarray:
@@ -314,7 +312,7 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
             parts = [(sign, *panel_nodes(e, order)) for e, sign in edges]
             freq = np.concatenate([sign * g**2 / 2.0 * u for sign, u, _ in parts])
             coef = np.concatenate([w * _gaussian(stats, sign / u) / u**2 for sign, u, w in parts])
-            return _exp_sum(freq, coef, flat, _BROAD_WORK)[live] + window
+            return _exp_sum(freq, coef, flat)[live] + window
 
         out[live] = np.abs(_checked_gauss(evaluate, flat[live], rel_tol,
                                           "broad-ensemble quadrature"))

@@ -196,7 +196,7 @@ def _rabi_envelope(x, r):
 
 
 # Largest work array, in elements, that one pass of the exponential-sum
-# kernel allocates; bounds the memory of concurrent column threads.
+# kernel allocates.
 _WORK_ELEMENTS = 2**18
 
 
@@ -223,7 +223,7 @@ def _phasors(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_sum(freq: np.ndarray, coef: np.ndarray, t: np.ndarray, work=None) -> np.ndarray:
+def _exp_sum(freq: np.ndarray, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_j coef_j exp(i freq_j t) at each point of the 1-D grid t, as complex.
 
     On an equispaced grid t_n = t_0 + n h, write n = b B + m with B ~ sqrt(T):
@@ -231,13 +231,13 @@ def _exp_sum(freq: np.ndarray, coef: np.ndarray, t: np.ndarray, work=None) -> np
     grid's own values, so the sum is one matrix product Z @ E^T of a (T/B, J)
     and a (B, J) phasor table, costing (T/B + B) J exponentials for J terms.
     Any other grid takes the same path with B = 1.  Terms are taken in chunks
-    so that no work array exceeds work elements (default _WORK_ELEMENTS).
+    so that no work array exceeds _WORK_ELEMENTS elements.
     """
     block, h = _uniform_block(t)
     coarse = t[::block]
     fine = np.arange(block) * h
     total = np.zeros((coarse.size, block), dtype=complex)
-    chunk = max(1, (work or _WORK_ELEMENTS) // max(coarse.size, block))
+    chunk = max(1, _WORK_ELEMENTS // max(coarse.size, block))
     for i in range(0, freq.size, chunk):
         f = freq[i : i + chunk]
         z = _phasors(np.multiply.outer(coarse, f))

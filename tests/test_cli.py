@@ -3,8 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -220,11 +220,10 @@ class TestValidation:
     @pytest.mark.parametrize("flags", [["--sigma", "1e160"],
                                        ["--mu", "1e300", "--methods", "broad"]],
                              ids=["sigma-squared", "broad-window"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_numerical(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = main(["continuum", *flags, "--n-points", "5", "--out", str(out)])
+        rc = main(["continuum", *flags, "--n-points", "5", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("numerical error: ") and err.count("\n") == 1
@@ -236,6 +235,17 @@ class TestValidation:
         _assert_fails_fast(tmp_path, capsys,
                            ["continuum", "--mu", "1", "--sigma", "1e-30", "--t-max", "1e308",
                             "--n-points", "5", "--methods", "continuum"], "nan terms")
+
+    def test_micro_refuses_t_max(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        cfg = tmp_path / "m.conf"
+        cfg.write_text("kind = micro\ntGrid.tMax = 0.01\n")
+        for argv in (["micro", "--t-max", "0.01", "--n-points", "3", "--out", str(out)],
+                     ["validate", "--config", str(cfg)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: tGrid.tMax: micro scans kT") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_fluctuator_count_bounded(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -348,6 +358,7 @@ class TestScenarios:
         assert list(data.dtype.names) == ["kT", "variance"]
         assert data["kT"][0] == pytest.approx(0.05)
         assert np.all(np.diff(data["variance"]) > 0)
+        assert "tGrid.tMax" not in (tmp_path / "m.csv.manifest").read_text()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.conf"
@@ -392,20 +403,50 @@ class TestFigurePresets:
 
 
 class TestThreads:
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TLFSIM_THREADS", "1")
+    def test_columns_run_on_main_thread_in_order(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("coherence_exact_single", "coherence_weak_envelope"):
+            def spy(*args, _name=name, _kernel=getattr(cli, name)):
+                calls.append((_name, threading.current_thread()))
+                return _kernel(*args)
+            monkeypatch.setattr(cli, name, spy)
         out = tmp_path / "s.csv"
-        rc = main(["single-tlf", "--methods", "exact,weak_envelope",
+        rc = main(["single-tlf", "--methods", "weak_envelope,exact",
                    "--out", str(out), "--t-max", "200", "--n-points", "30"])
         assert rc == 0
-        assert read_csv(out).dtype.names == ("t", "exact", "weak_envelope")
+        assert read_csv(out).dtype.names == ("t", "weak_envelope", "exact")
+        main_thread = threading.main_thread()
+        assert calls == [("coherence_weak_envelope", main_thread),
+                         ("coherence_exact_single", main_thread)]
 
-    def test_invalid_thread_cap_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TLFSIM_THREADS", "zero")
-        rc = main(["single-tlf", "--out", str(tmp_path / "s.csv"),
-                   "--n-points", "10", "--t-max", "10"])
-        assert rc == 2
-        assert "TLFSIM_THREADS" in capsys.readouterr().err
+
+# Input contract: every argv either exits 0 with an all-finite CSV, or exits
+# 2 (invalid input) or 3 (numerical failure) with a one-line message last on
+# stderr and no CSV.  Entries are inputs that once broke the contract or sit
+# at the work budget; add each new one found.
+CONTRACT_PROBES = [
+    ["ensemble", "--half-width", "1e300", "--n-points", "5", "--methods", "narrow,envelope"],
+    ["micro", "--n-points", "3", "--eps-max", "1e308"],
+    ["jc-only", "--g", "1e300", "--n-points", "3", "--methods", "gr_short"],
+    ["continuum", "--sigma", "1e-90", "--t-max", "1e-100", "--n-points", "5",
+     "--methods", "broad"],
+    ["continuum", "--mu", "1e300", "--n-points", "5", "--methods", "broad"],
+    ["figure", "6", "--t-max", "1e300"],
+    ["figure", "7", "--t-max", "1e300"],
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT_PROBES, ids=" ".join)
+def test_input_contract(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+    else:
+        prefix = {2: "error: ", 3: "numerical error: "}[rc]
+        assert err.splitlines()[-1].startswith(prefix)
+        assert not out.exists()
 
 
 class TestEntryPoint:
