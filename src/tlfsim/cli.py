@@ -54,16 +54,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# Quadrature tolerances per profile; recorded in the manifest.
-TOLERANCE_PROFILES = {
-    "default": {"quad_rel_tol": 1e-8, "broad_rel_tol": 1e-6},
-    "strict": {"quad_rel_tol": 1e-10, "broad_rel_tol": 1e-8},
-}
+# Both integrals return their Gauss order-16 value and refuse a point where
+# order 8 differs by more than these; recorded in the manifest.
+TOLERANCES = {"quad_rel_tol": 1e-8, "broad_rel_tol": 1e-6}
 
 KINDS = ("jc-only", "single-tlf", "dissipative", "ensemble", "continuum", "micro")
-
-# Per-kind parameter schema: key -> (parser, default or REQUIRED, help).
-_REQ = object()
 
 
 def _f(lo=None, hi=None, lo_open=False):
@@ -98,11 +93,7 @@ def _choice(*options):
     return parse
 
 
-# The run keys every scenario shares; the figure flags use the same parsers.
-_T_MAX = _f(lo=0, lo_open=True)
-_N_POINTS = _i(lo=2, hi=10**6)
-_SEED = _i(lo=0)
-
+# Per-kind parameter schema: key -> (parser, default, help).
 SCHEMAS = {
     "jc-only": {
         "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
@@ -139,8 +130,9 @@ SCHEMAS = {
         "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
         "g": (_f(lo=0), 0.01, "oscillator-TLS coupling"),
         "delta": (_f(), 0.0, "TLS-oscillator detuning"),
-        "mu": (_f(), 0.0, "inner-product mean"),
-        "sigma": (_f(lo=0, lo_open=True), 0.03, "inner-product standard deviation"),
+        # bounded so that mu^2, sigma^2 and sigma^4 stay normal floats
+        "mu": (_f(lo=-1e150, hi=1e150), 0.0, "inner-product mean"),
+        "sigma": (_f(lo=1e-75, hi=1e75), 0.03, "inner-product standard deviation"),
     },
     "micro": {
         "d": (_i(lo=2), 3, "host dimension"),
@@ -177,7 +169,6 @@ class Scenario:
     n_points: int
     seed: int
     methods: list[str]
-    tolerance_profile: str = "default"
     notes: dict = field(default_factory=dict)
 
     @property
@@ -191,10 +182,6 @@ class Scenario:
         if self.kind == "micro":
             return np.linspace(self.params["ktMin"], self.params["ktMax"], self.n_points)
         return np.linspace(0.0, self.t_max, self.n_points)
-
-    @property
-    def tolerances(self) -> dict:
-        return TOLERANCE_PROFILES[self.tolerance_profile]
 
 
 def _read_config(path: str) -> dict:
@@ -212,8 +199,31 @@ def _read_config(path: str) -> dict:
     return raw
 
 
+def _take(raw: dict, errors: list[str], key: str, parse, default):
+    """Pop ``key`` from ``raw`` and parse it, or give ``default`` when absent;
+    a value that ``parse`` refuses appends one error naming the key."""
+    if key not in raw:
+        return default
+    text = raw.pop(key)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        errors.append(f"{key}: {exc} (got {text!r})")
+        return None
+
+
+def _run_keys(raw: dict, errors: list[str], t_max: float | None) -> tuple:
+    """The grid end (default ``t_max``), point count and seed of any run."""
+    return (_take(raw, errors, "tGrid.tMax", _f(lo=0, lo_open=True), t_max),
+            _take(raw, errors, "tGrid.nPoints", _i(lo=2, hi=10**6), 1000),
+            _take(raw, errors, "seed", _i(lo=0), 0))
+
+
 def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None, list[str]]:
-    """Validate a flat key-value mapping into a Scenario, collecting all errors."""
+    """Validate a flat key-value mapping into a Scenario, collecting all errors.
+
+    Absent keys take their defaults: the schema's, the kind's grid end in
+    DEFAULT_T_MAX, 1000 points and seed 0."""
     errors: list[str] = []
     raw = dict(raw)
 
@@ -227,32 +237,11 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     if kind not in KINDS:
         return None, [f"kind: unknown scenario {kind!r}; expected one of {KINDS}"]
 
-    def take(key: str, parse, default):
-        if key in raw:
-            text = raw.pop(key)
-            try:
-                return parse(text)
-            except ValueError as exc:
-                errors.append(f"{key}: {exc} (got {text!r})")
-                return None
-        if default is _REQ:
-            errors.append(f"{key}: missing")
-            return None
-        return default
-
-    params = {}
-    for key, (parse, default, _help) in SCHEMAS[kind].items():
-        params[key] = take(key, parse, default)
-
-    if kind == "micro":
-        t_max = None
-        if raw.pop("tGrid.tMax", None) is not None:
-            errors.append("tGrid.tMax: micro scans kT from ktMin to ktMax and takes no time grid")
-    else:
-        t_max = take("tGrid.tMax", _T_MAX, _REQ)
-    n_points = take("tGrid.nPoints", _N_POINTS, _REQ)
-    seed = take("seed", _SEED, 0)
-    profile = take("toleranceProfile", _choice(*TOLERANCE_PROFILES), "default")
+    params = {key: _take(raw, errors, key, parse, default)
+              for key, (parse, default, _help) in SCHEMAS[kind].items()}
+    if kind == "micro" and raw.pop("tGrid.tMax", None) is not None:
+        errors.append("tGrid.tMax: micro scans kT from ktMin to ktMax and takes no time grid")
+    t_max, n_points, seed = _run_keys(raw, errors, DEFAULT_T_MAX.get(kind))
     methods_text = raw.pop("methods", None)
     if methods_text is None:
         methods = [next(iter(METHODS[kind]))]
@@ -277,8 +266,7 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     if errors:
         return None, errors
     return Scenario(kind=kind, params=params, t_max=t_max, n_points=n_points,
-                    seed=seed, methods=methods,
-                    tolerance_profile=profile), []
+                    seed=seed, methods=methods), []
 
 
 # ---------------------------------------------------------------------------
@@ -328,54 +316,54 @@ def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple
     return s, resolved
 
 
-def _continuum(s, t, tol):
-    return coherence_continuum(s["jc"], s["stats"], t, rel_tol=tol["quad_rel_tol"])
+def _continuum(s, t):
+    return coherence_continuum(s["jc"], s["stats"], t, rel_tol=TOLERANCES["quad_rel_tol"])
 
 
-def _narrow(s, t, tol):
+def _narrow(s, t):
     return coherence_narrow(s["jc"], s["stats"], t)
 
 
-def _broad(s, t, tol):
-    return coherence_broad_integral(s["g"], s["stats"], t, rel_tol=tol["broad_rel_tol"])
+def _broad(s, t):
+    return coherence_broad_integral(s["g"], s["stats"], t, rel_tol=TOLERANCES["broad_rel_tol"])
 
 
-# kind -> method tag -> f(setup, t, tolerances); a kind's first tag is its
+# kind -> method tag -> f(setup, t); a kind's first tag is its
 # default.  Kernels are looked up when called, so one replaced on this module
 # (a tracer, a test) is the one that runs.
 METHODS = {
     "jc-only": {
-        "gr": lambda s, t, _: coherence_gr(s["jc"], t),
-        "gr_short": lambda s, t, _: coherence_gr_short_time(s["g"], t),
+        "gr": lambda s, t: coherence_gr(s["jc"], t),
+        "gr_short": lambda s, t: coherence_gr_short_time(s["g"], t),
     },
     "single-tlf": {
-        "exact": lambda s, t, _: coherence_exact_single(s["jc"], s["tlf"], s["ctx"], t),
-        "weak_envelope": lambda s, t, _: coherence_weak_envelope(s["jc"], s["tlf"], s["ctx"], t),
-        "strong_leading": lambda s, t, _: coherence_strong_leading(s["jc"], s["tlf"], s["ctx"], t),
-        "strong_higher": lambda s, t, _: coherence_strong_higher(s["jc"], s["tlf"], s["ctx"], t),
+        "exact": lambda s, t: coherence_exact_single(s["jc"], s["tlf"], s["ctx"], t),
+        "weak_envelope": lambda s, t: coherence_weak_envelope(s["jc"], s["tlf"], s["ctx"], t),
+        "strong_leading": lambda s, t: coherence_strong_leading(s["jc"], s["tlf"], s["ctx"], t),
+        "strong_higher": lambda s, t: coherence_strong_higher(s["jc"], s["tlf"], s["ctx"], t),
     },
     "dissipative": {
-        "ode": lambda s, t, _: integrate_reduced(*s["rates"], t).values,
-        "weak_damped": lambda s, t, _: coherence_weak_damped(*s["rates"], t),
-        "strong_damped": lambda s, t, _: coherence_strong_damped(*s["rates"], t),
+        "ode": lambda s, t: integrate_reduced(*s["rates"], t).values,
+        "weak_damped": lambda s, t: coherence_weak_damped(*s["rates"], t),
+        "strong_damped": lambda s, t: coherence_strong_damped(*s["rates"], t),
     },
     "ensemble": {
-        "exact": lambda s, t, _: coherence_exact_ensemble(s["jc"], s["ens"], t),
+        "exact": lambda s, t: coherence_exact_ensemble(s["jc"], s["ens"], t),
         "narrow": _narrow,
         "continuum": _continuum,
-        "envelope": lambda s, t, _: np.exp(-s["stats"].sigma2 * t**2 / 2.0),
+        "envelope": lambda s, t: np.exp(-s["stats"].sigma2 * t**2 / 2.0),
         "broad": _broad,
     },
     "continuum": {
         "continuum": _continuum,
         "narrow": _narrow,
         "broad": _broad,
-        "erfc": lambda s, t, _: coherence_broad_erfc(s["g"], s["stats"], t),
-        "linear": lambda s, t, _: coherence_broad_linear(s["g"], s["stats"], t),
+        "erfc": lambda s, t: coherence_broad_erfc(s["g"], s["stats"], t),
+        "linear": lambda s, t: coherence_broad_linear(s["g"], s["stats"], t),
     },
     "micro": {
-        "variance": lambda s, t, _: np.array([e.value for e in s["estimates"]]),
-        "stderr": lambda s, t, _: np.array([e.stderr for e in s["estimates"]]),
+        "variance": lambda s, t: np.array([e.value for e in s["estimates"]]),
+        "stderr": lambda s, t: np.array([e.stderr for e in s["estimates"]]),
     },
 }
 
@@ -467,8 +455,7 @@ FIGURES = {
 
 def _preset_params(kind: str, params: dict) -> dict:
     """A preset scenario's parameters, checked and completed by its schema."""
-    raw = _default_grid({key: str(value) for key, value in params.items()}, kind)
-    sc, errors = validate_config(raw, kind)
+    sc, errors = validate_config({key: str(value) for key, value in params.items()}, kind)
     if errors:  # pragma: no cover - the presets are fixed data
         raise InvalidInputError(f"figure preset {kind}: {'; '.join(errors)}")
     return sc.params
@@ -495,7 +482,7 @@ def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndar
             setups.append((METHODS[kind], setup))
             resolved.update(values if names is None
                             else {name: values[key] for key, name in names.items()})
-        out = [(name, np.asarray(setups[i][0][tag](setups[i][1], t, sc.tolerances)))
+        out = [(name, np.asarray(setups[i][0][tag](setups[i][1], t)))
                for name, i, tag in columns]
     for name, values in out:
         bad = ~np.isfinite(values)
@@ -549,9 +536,8 @@ def write_manifest(path: str, sc: Scenario, extras: dict) -> None:
         *([] if sc.t_max is None else [f"tGrid.tMax = {_fmt(sc.t_max)}"]),
         f"tGrid.nPoints = {sc.n_points}",
         f"methods = {','.join(sc.methods)}",
-        f"toleranceProfile = {sc.tolerance_profile}",
     ]
-    for key, value in sorted(sc.tolerances.items()):
+    for key, value in sorted(TOLERANCES.items()):
         lines.append(f"tolerance.{key} = {_fmt(value)}")
     for key in sorted(sc.params):
         value = sc.params[key]
@@ -602,8 +588,6 @@ def _add_common(sub: argparse.ArgumentParser, preset: bool = False) -> None:
     sub.add_argument("--n-points", type=int, dest="n_points",
                      help="grid points (default 1000)")
     sub.add_argument("--methods", help=hidden or "comma-separated method tags")
-    sub.add_argument("--tolerance-profile", choices=sorted(TOLERANCE_PROFILES),
-                     dest="tolerance_profile", help="numerical tolerance profile")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_raw(args: argparse.Namespace, kind: str | None) -> dict:
+def _collect_raw(args: argparse.Namespace) -> dict:
     raw: dict[str, str] = {}
     if args.config:
         raw.update(_read_config(args.config))
@@ -642,28 +626,10 @@ def _collect_raw(args: argparse.Namespace, kind: str | None) -> dict:
         if name.startswith("param_") and value is not None:
             raw[name[len("param_"):]] = value
     for name, key in (("t_max", "tGrid.tMax"), ("n_points", "tGrid.nPoints"), ("seed", "seed"),
-                      ("methods", "methods"), ("tolerance_profile", "toleranceProfile")):
+                      ("methods", "methods")):
         if getattr(args, name) is not None:
             raw[key] = str(getattr(args, name))
-    return _default_grid(raw, kind)
-
-
-def _default_grid(raw: dict, kind: str | None) -> dict:
-    """Fill in the tGrid keys that neither the config nor a flag set."""
-    if kind in DEFAULT_T_MAX:
-        raw.setdefault("tGrid.tMax", repr(DEFAULT_T_MAX[kind]))
-    raw.setdefault("tGrid.nPoints", "1000")
     return raw
-
-
-def _figure_flag(key: str, parse, value, default):
-    """A figure preset's flag, checked by the parser its scenario key uses."""
-    if value is None:
-        return default
-    try:
-        return parse(str(value))
-    except ValueError as exc:
-        raise InvalidInputError(f"{key}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -672,23 +638,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             if args.config is not None or args.methods is not None:
                 raise InvalidInputError("figure takes no --config or --methods (presets fix both)")
-            sc = Scenario(
-                kind="figure", params={"index": args.index},
-                t_max=_figure_flag("tGrid.tMax", _T_MAX, args.t_max, FIGURES[args.index].t_max),
-                n_points=_figure_flag("tGrid.nPoints", _N_POINTS, args.n_points, 1000),
-                seed=_figure_flag("seed", _SEED, args.seed, 0),
-                methods=["preset"],
-                tolerance_profile=args.tolerance_profile or "default")
-            if args.t_max is not None:
-                sc.notes["tMaxOverridden"] = True
-            run_scenario(sc, args.out)
-            return EXIT_OK
-
-        if args.command == "validate":
-            raw = _read_config(args.config)
-            sc, errors = validate_config(_default_grid(raw, raw.get("kind")))
+            errors: list[str] = []
+            t_max, n_points, seed = _run_keys(_collect_raw(args), errors,
+                                              FIGURES[args.index].t_max)
+            sc = Scenario(kind="figure", params={"index": args.index}, t_max=t_max,
+                          n_points=n_points, seed=seed, methods=["preset"],
+                          notes={"tMaxOverridden": True} if args.t_max is not None else {})
+        elif args.command == "validate":
+            sc, errors = validate_config(_read_config(args.config))
         else:
-            sc, errors = validate_config(_collect_raw(args, args.command), kind=args.command)
+            sc, errors = validate_config(_collect_raw(args), kind=args.command)
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         if errors:

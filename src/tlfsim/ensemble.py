@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, exp1
 
-from ._quadrature import oscillation_panels, panel_nodes
 from .errors import (
     CapacityError,
     DegenerateEigensystemError,
@@ -32,7 +32,6 @@ from .errors import (
 from .model import (
     JcParams,
     ThermalContext,
-    coherence_gr,
     thermal_population,
     _as_time,
     _exp_sum,
@@ -55,10 +54,10 @@ __all__ = [
     "sample_spatial_couplings",
 ]
 
-# Default splitting range (units of omega0) for sampled fluctuators; the
-# splittings are irrelevant in the scale-separated regime but keep
-# finite-temperature runs well-defined.
-_DEFAULT_EPS_RANGE = (0.01, 0.2)
+# Splitting range (units of omega0) for sampled fluctuators; the splittings
+# are irrelevant in the scale-separated regime but keep finite-temperature
+# runs well-defined.
+_EPS_RANGE = (0.01, 0.2)
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,6 @@ def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     configuration shifts the system exactly onto the degenerate point.
     """
     _check_budget(2**ens.n, np.size(t), f"exact ensemble sum over 2^{ens.n} configurations")
-    if ens.n == 0:
-        return coherence_gr(params, t)
     lam_sum, prob = _configuration_table(ens)
     return _mixture_coherence(params.g, params.delta, lam_sum, prob, t)
 
@@ -166,6 +163,30 @@ def _gaussian(stats: EnsembleStats, lam: np.ndarray) -> np.ndarray:
     return np.exp(-((lam - stats.mu) ** 2) / (2.0 * stats.sigma2)) / (
         math.sqrt(2.0 * math.pi) * stats.sigma
     )
+
+
+@lru_cache(maxsize=16)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights over consecutive panels given by edges."""
+    x, w = _leggauss(order)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def oscillation_panels(lo: float, hi: float, freq: float, min_panels: int = 16) -> float:
+    """Panels over [lo, hi] that each span at most ~pi/2 of a phase slope |freq|.
+
+    min_panels is added as a floor for non-oscillatory structure.  Returned as
+    a float, which is inf when the phase overflows.
+    """
+    return float(np.ceil((hi - lo) * abs(freq) / (np.pi / 2.0))) + min_panels
 
 
 # Gauss orders of the checked quadrature: a value and its check on the same
@@ -353,26 +374,14 @@ def coherence_broad_linear(g: float, stats: EnsembleStats, t):
     return out if arr.ndim else float(out)
 
 
-def _sample_epsilons(n: int, rng: np.random.Generator, eps_range) -> np.ndarray:
-    lo, hi = eps_range
-    if not (0 <= lo <= hi):
-        raise InvalidInputError(f"invalid eps_range {eps_range!r}")
-    return rng.uniform(lo, hi, n)
-
-
-def sample_uniform_couplings(
-    n: int,
-    half_width: float,
-    rng: np.random.Generator,
-    eps_range=_DEFAULT_EPS_RANGE,
-) -> list[TlfSpec]:
+def sample_uniform_couplings(n: int, half_width: float, rng: np.random.Generator) -> list[TlfSpec]:
     """n couplings i.i.d. uniform on [-half_width, +half_width], seeded rng."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     if half_width <= 0:
         raise InvalidInputError("half_width must be > 0")
     lams = rng.uniform(-half_width, half_width, n)
-    eps = _sample_epsilons(n, rng, eps_range)
+    eps = rng.uniform(*_EPS_RANGE, n)
     return [TlfSpec(epsilon=e, lam=l) for e, l in zip(eps, lams)]
 
 
@@ -383,7 +392,6 @@ def sample_spatial_couplings(
     scale: float,
     g: float,
     rng: np.random.Generator,
-    eps_range=_DEFAULT_EPS_RANGE,
 ) -> list[TlfSpec]:
     """Couplings from uniform random positions: lam = +/- g * scale / r^dim.
 
@@ -401,5 +409,5 @@ def sample_spatial_couplings(
     signs = rng.integers(0, 2, n) * 2 - 1
     r2 = np.sum(coords**2, axis=1)
     lams = signs * g * scale / r2 ** (dim / 2.0)
-    eps = _sample_epsilons(n, rng, eps_range)
+    eps = rng.uniform(*_EPS_RANGE, n)
     return [TlfSpec(epsilon=e, lam=l) for e, l in zip(eps, lams)]

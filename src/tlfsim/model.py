@@ -60,7 +60,7 @@ class JcParams:
             warnings.warn(
                 f"g = {self.g} is not small compared to min(epsilon_t, omega0); "
                 "the exchange-coupling model may not apply",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
     @property

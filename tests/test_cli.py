@@ -87,8 +87,21 @@ class TestValidation:
         rc = main(["figure", "4", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err == "error: seed: must be >= 0\n"
+        assert err == "error: seed: must be >= 0 (got '-1')\n"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_figure_flag_errors_collected(self, tmp_path, capsys):
+        rc = main(["figure", "4", "--seed", "-1", "--n-points", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: tGrid.nPoints: must be >= 2 (got '1')\n"
+                                           "error: seed: must be >= 0 (got '-1')\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_defaults_supplied_by_validation(self):
+        sc, errors = validate_config({"kind": "jc-only"})
+        assert errors == []
+        assert (sc.t_max, sc.n_points, sc.seed) == (200.0, 1000, 0)
 
     def test_missing_output_directory_rejected(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -218,15 +231,18 @@ class TestValidation:
         assert "nodes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--sigma", "1e160"],
-                                       ["--mu", "1e300", "--methods", "broad"]],
-                             ids=["sigma-squared", "broad-window"])
+                                       ["--mu", "1e300", "--methods", "broad"],
+                                       ["--sigma", "1e-90", "--t-max", "1e-100",
+                                        "--methods", "broad"]],
+                             ids=["sigma-squared", "broad-window", "sigma-tiny"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflow_is_numerical(self, tmp_path, capsys, flags):
+    def test_overflowing_moments_rejected(self, tmp_path, capsys, flags):
+        # mu and sigma are bounded so that mu^2, sigma^2 and sigma^4 stay finite
         out = tmp_path / "x.csv"
         rc = main(["continuum", *flags, "--n-points", "5", "--out", str(out)])
         err = capsys.readouterr().err
-        assert rc == 3
-        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert rc == 2
+        assert err.startswith(f"error: {flags[0][2:]}: must be ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_nan_phase_span_is_numerical(self, tmp_path, capsys, monkeypatch):
@@ -287,18 +303,22 @@ class TestManifest:
                     if False else tmp_path / "d.csv.manifest").read_text()
         assert "kind = dissipative" in manifest
         assert "param.gamma = 0.002" in manifest
-        assert "tolerance.quad_rel_tol = " in manifest
+        assert "tolerance.broad_rel_tol = 9.9999999999999995e-07\n" in manifest
+        assert "tolerance.quad_rel_tol = 1e-08\n" in manifest
         assert "resolved.regime = weak-coupling" in manifest
         assert "tlfsim.version = " in manifest
 
-    def test_strict_profile_recorded(self, tmp_path):
+    def test_tolerance_profile_rejected(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
-        rc = main(["dissipative", "--tolerance-profile", "strict", "--out", str(out),
-                   "--n-points", "20", "--t-max", "100"])
-        assert rc == 0
-        manifest = (tmp_path / "d.csv.manifest").read_text()
-        assert "toleranceProfile = strict" in manifest
-        assert "tolerance.quad_rel_tol = 1e-10" in manifest
+        with pytest.raises(SystemExit) as exc:
+            main(["dissipative", "--tolerance-profile", "strict", "--out", str(out)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "strict.conf"
+        cfg.write_text("kind = dissipative\ntoleranceProfile = strict\n")
+        assert main(["dissipative", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: toleranceProfile: unknown key\n"
+        assert not out.exists()
 
 
 class TestScenarios:

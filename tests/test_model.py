@@ -55,6 +55,11 @@ class TestJcParams:
         with pytest.warns(UserWarning):
             ts.JcParams(1.0, 1.0, 1.5)
 
+    def test_strong_g_warning_names_caller(self):
+        with pytest.warns(UserWarning) as record:
+            ts.JcParams(1.0, 1.0, 1.5)
+        assert record[0].filename == __file__
+
 
 class TestEigensystem:
     def test_resonant_values(self):
