@@ -45,13 +45,11 @@ from .oracle import (
 from .dissipative import (
     DampingCharacter,
     DampingRegime,
-    ReducedState,
     classify_regime,
     coherence_strong_damped,
     coherence_weak_damped,
     damping_character,
     integrate_reduced,
-    reduced_rhs,
     slow_root_cubic,
 )
 from .ensemble import (

@@ -24,6 +24,8 @@ from .dissipative import (
     integrate_reduced,
 )
 from .ensemble import (
+    BROAD_REL_TOL,
+    QUAD_REL_TOL,
     TlfEnsemble,
     _check_budget,
     coherence_broad_erfc,
@@ -53,10 +55,6 @@ __all__ = ["main", "run_scenario", "validate_config", "Scenario"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-# Both integrals return their Gauss order-16 value and refuse a point where
-# order 8 differs by more than these; recorded in the manifest.
-TOLERANCES = {"quad_rel_tol": 1e-8, "broad_rel_tol": 1e-6}
 
 KINDS = ("jc-only", "single-tlf", "dissipative", "ensemble", "continuum", "micro")
 
@@ -317,7 +315,7 @@ def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple
 
 
 def _continuum(s, t):
-    return coherence_continuum(s["jc"], s["stats"], t, rel_tol=TOLERANCES["quad_rel_tol"])
+    return coherence_continuum(s["jc"], s["stats"], t)
 
 
 def _narrow(s, t):
@@ -325,7 +323,7 @@ def _narrow(s, t):
 
 
 def _broad(s, t):
-    return coherence_broad_integral(s["g"], s["stats"], t, rel_tol=TOLERANCES["broad_rel_tol"])
+    return coherence_broad_integral(s["g"], s["stats"], t)
 
 
 # kind -> method tag -> f(setup, t); a kind's first tag is its
@@ -536,9 +534,9 @@ def write_manifest(path: str, sc: Scenario, extras: dict) -> None:
         *([] if sc.t_max is None else [f"tGrid.tMax = {_fmt(sc.t_max)}"]),
         f"tGrid.nPoints = {sc.n_points}",
         f"methods = {','.join(sc.methods)}",
+        f"tolerance.broad_rel_tol = {_fmt(BROAD_REL_TOL)}",
+        f"tolerance.quad_rel_tol = {_fmt(QUAD_REL_TOL)}",
     ]
-    for key, value in sorted(TOLERANCES.items()):
-        lines.append(f"tolerance.{key} = {_fmt(value)}")
     for key in sorted(sc.params):
         value = sc.params[key]
         lines.append(f"param.{key} = {value if value is not None else 'none'}")
@@ -551,10 +549,10 @@ def write_manifest(path: str, sc: Scenario, extras: dict) -> None:
 
 
 def _check_output_dir(out: str) -> None:
-    """Raise the error open(out, "w") would raise for a missing or read-only
-    directory, or for an ``out`` that is itself a directory."""
+    """Raise the error open(out, "w") would raise for an empty path, a missing
+    or read-only directory, or an ``out`` that is itself a directory."""
     parent = os.path.dirname(out) or "."
-    if not os.path.isdir(parent):
+    if not out or not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     if not os.access(parent, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
@@ -581,12 +579,10 @@ def run_scenario(sc: Scenario, out: str) -> None:
 def _add_common(sub: argparse.ArgumentParser, preset: bool = False) -> None:
     hidden = argparse.SUPPRESS if preset else None  # a preset parses these to refuse them
     sub.add_argument("--config", help=hidden or "flat key = value config file")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    sub.add_argument("--seed", help="RNG seed (default 0)")
     sub.add_argument("--out", default="out.csv", help="output CSV path (default out.csv)")
-    sub.add_argument("--t-max", type=float, dest="t_max",
-                     help="end of the time grid (per-scenario default)")
-    sub.add_argument("--n-points", type=int, dest="n_points",
-                     help="grid points (default 1000)")
+    sub.add_argument("--t-max", dest="t_max", help="end of the time grid (per-scenario default)")
+    sub.add_argument("--n-points", dest="n_points", help="grid points (default 1000)")
     sub.add_argument("--methods", help=hidden or "comma-separated method tags")
 
 
@@ -628,12 +624,31 @@ def _collect_raw(args: argparse.Namespace) -> dict:
     for name, key in (("t_max", "tGrid.tMax"), ("n_points", "tGrid.nPoints"), ("seed", "seed"),
                       ("methods", "methods")):
         if getattr(args, name) is not None:
-            raw[key] = str(getattr(args, name))
+            raw[key] = getattr(args, name)
     return raw
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1e-3`` into ``--flag=-1e-3``: argparse takes a dash
+    token in exponent form, or ``-inf``, for an option name, not a value."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] not in ("--help", "--version") and token.startswith("-")):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         if args.command == "figure":
             if args.config is not None or args.methods is not None:

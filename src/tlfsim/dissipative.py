@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -21,10 +20,8 @@ from .errors import InvalidInputError, NumericalError, RegimeWarning
 from .model import CoherenceTrace, _as_time
 
 __all__ = [
-    "ReducedState",
     "DampingRegime",
     "DampingCharacter",
-    "reduced_rhs",
     "integrate_reduced",
     "coherence_weak_damped",
     "coherence_strong_damped",
@@ -38,29 +35,9 @@ _SQRT2 = math.sqrt(2.0)
 # eigen-decomposition (which loses about cond(V) * eps near an exceptional
 # point) for the batched matrix exponential.
 _EIG_COND_MAX = 1e4
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Sum/difference amplitudes (X+, X-, Y+, Y-) in the frame rotating at omega0.
-
-    X+- combine the two lowering-operator expectations, Y+- their
-    fluctuator-weighted counterparts.  The initial condition for the
-    |0>+|1> superposition is X+ = 1/sqrt(2), all others zero, and the
-    coherence is C(t) = sqrt(2) |X+(t)|.
-    """
-
-    x_plus: complex
-    x_minus: complex
-    y_plus: complex
-    y_minus: complex
-
-    @classmethod
-    def initial(cls) -> "ReducedState":
-        return cls(1.0 / _SQRT2, 0.0, 0.0, 0.0)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.x_plus, self.x_minus, self.y_plus, self.y_minus], complex)
+# classify_regime's boundaries: weak coupling once g >= 5|lam|; weak or strong
+# damping once gamma is a factor 5 below or above |lam|.
+_REGIME_RATIO = 5.0
 
 
 class DampingRegime(enum.Enum):
@@ -77,6 +54,11 @@ class DampingCharacter(enum.Enum):
 
 
 def _rhs_matrix(g: float, lam: float, gamma: float) -> np.ndarray:
+    """M of dX/dt = M X, X = (X+, X-, Y+, Y-) in the frame rotating at omega0.
+
+    X+- are the sum/difference combinations of the two lowering-operator
+    expectations, Y+- their fluctuator-weighted counterparts (resonant case).
+    """
     return np.array(
         [
             [0.0, -1j * g, 0.0, 0.0],
@@ -88,17 +70,12 @@ def _rhs_matrix(g: float, lam: float, gamma: float) -> np.ndarray:
     )
 
 
-def reduced_rhs(state: ReducedState, g: float, lam: float, gamma: float) -> ReducedState:
-    """Time derivative of the four coupled amplitudes (resonant, rotating frame)."""
-    dx = _rhs_matrix(g, lam, gamma) @ state.as_vector()
-    return ReducedState(dx[0], dx[1], dx[2], dx[3])
-
-
 def integrate_reduced(g: float, lam: float, gamma: float, t_grid) -> CoherenceTrace:
     """Exact propagation of the reduced system; returns C(t) = sqrt(2)|X+|.
 
-    The amplitudes obey dX/dt = M X with a constant matrix M, so
-    X(t) = e^(Mt) X(0).  With M = V diag(w) V^-1 and c = V^-1 X(0),
+    The amplitudes obey dX/dt = M X with the constant matrix M of
+    _rhs_matrix, so X(t) = e^(Mt) X(0); the |0>+|1> superposition starts at
+    X(0) = (1/sqrt(2), 0, 0, 0).  With M = V diag(w) V^-1 and c = V^-1 X(0),
     X+(t) = sum_k V[0, k] c_k e^(w_k t) on any grid.  Near an exceptional
     point the eigenvectors coalesce and V is ill-conditioned; when cond(V)
     exceeds ``_EIG_COND_MAX`` the propagator is the batched matrix
@@ -111,7 +88,7 @@ def integrate_reduced(g: float, lam: float, gamma: float, t_grid) -> CoherenceTr
     if np.any(np.diff(t_arr) < 0):
         raise InvalidInputError("t_grid must be sorted")
     m = _rhs_matrix(g, lam, gamma)
-    x0 = ReducedState.initial().as_vector()
+    x0 = np.array([1.0 / _SQRT2, 0.0, 0.0, 0.0], complex)
     w, v = np.linalg.eig(m)
     if np.linalg.cond(v) <= _EIG_COND_MAX:
         x_plus = np.exp(np.multiply.outer(t_arr, w)) @ (v[0] * np.linalg.solve(v, x0))
@@ -122,7 +99,7 @@ def integrate_reduced(g: float, lam: float, gamma: float, t_grid) -> CoherenceTr
         raise NumericalError(
             f"reduced propagator overflowed for g = {g:g}, lambda = {lam:g}, gamma = {gamma:g}"
         )
-    return CoherenceTrace(t=t_arr, values=values, label="reduced-ode")
+    return CoherenceTrace(t=t_arr, values=values)
 
 
 def _damped_rates(g: float, lam: float, gamma: float, regime: DampingRegime):
@@ -179,10 +156,8 @@ def coherence_weak_damped(g: float, lam: float, gamma: float, t):
     return out if arr.ndim else float(out)
 
 
-def coherence_strong_damped(
-    g: float, lam: float, gamma: float, t, regime: DampingRegime | None = None
-):
-    """Strong-coupling damped coherence in the requested (or classified) regime.
+def coherence_strong_damped(g: float, lam: float, gamma: float, t):
+    """Strong-coupling damped coherence in the regime classify_regime assigns.
 
     Weak damping: damped oscillation at g^2/2|lam| with rate gamma.
     Intermediate: pure exponential at g^2 gamma / 2 lam^2.
@@ -197,8 +172,7 @@ def coherence_strong_damped(
             RegimeWarning,
             stacklevel=2,
         )
-    if regime is None:
-        regime = classify_regime(g, lam, gamma)
+    regime = classify_regime(g, lam, gamma)
     arr = _as_time(t)
     if regime is DampingRegime.STRONG_INTERMEDIATE:
         out = np.exp(-(g**2) * gamma * arr / (2.0 * lam**2))
@@ -207,7 +181,7 @@ def coherence_strong_damped(
         out = np.exp(-gamma_eff * arr) * np.abs(_damped_bracket(gamma_eff, kappa_sq, arr))
     else:
         raise InvalidInputError(
-            f"regime {regime} is not a strong-coupling regime; "
+            f"regime {regime.value} is not a strong-coupling regime; "
             "use coherence_weak_damped instead"
         )
     return out if arr.ndim else float(out)
@@ -229,22 +203,16 @@ def slow_root_cubic(g: float, lam: float, gamma: float) -> float:
     return min(real_roots, key=abs)
 
 
-def classify_regime(
-    g: float,
-    lam: float,
-    gamma: float,
-    weak_coupling_ratio: float = 5.0,
-    damping_ratio: float = 5.0,
-) -> DampingRegime:
-    """Map (g, |lam|, gamma) to a damping regime with configurable thresholds."""
+def classify_regime(g: float, lam: float, gamma: float) -> DampingRegime:
+    """Map (g, |lam|, gamma) to a damping regime at the fixed ratio _REGIME_RATIO."""
     if g < 0 or gamma < 0:
         raise InvalidInputError("rates must be nonnegative")
     al = abs(lam)
-    if g >= weak_coupling_ratio * al:
+    if g >= _REGIME_RATIO * al:
         return DampingRegime.WEAK_COUPLING
-    if gamma <= al / damping_ratio:
+    if gamma <= al / _REGIME_RATIO:
         return DampingRegime.STRONG_WEAK_DAMP
-    if gamma >= damping_ratio * al:
+    if gamma >= _REGIME_RATIO * al:
         return DampingRegime.STRONG_STRONG_DAMP
     return DampingRegime.STRONG_INTERMEDIATE
 

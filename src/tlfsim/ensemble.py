@@ -194,6 +194,11 @@ def oscillation_panels(lo: float, hi: float, freq: float, min_panels: int = 16) 
 _ORDERS = (16, 8)
 _NODES_PER_PANEL = sum(_ORDERS)
 
+# Relative order-16 vs order-8 gap each integral accepts; the CLI manifest
+# records both as tolerance.quad_rel_tol and tolerance.broad_rel_tol.
+QUAD_REL_TOL = 1e-8
+BROAD_REL_TOL = 1e-6
+
 
 def _checked_gauss(evaluate, t: np.ndarray, rel_tol: float, what: str) -> np.ndarray:
     """evaluate(order) at the higher Gauss order, checked against the lower.
@@ -208,17 +213,15 @@ def _checked_gauss(evaluate, t: np.ndarray, rel_tol: float, what: str) -> np.nda
     return total
 
 
-def coherence_continuum(
-    params: JcParams, stats: EnsembleStats, t, rel_tol: float = 1e-8
-):
+def coherence_continuum(params: JcParams, stats: EnsembleStats, t):
     """Gaussian continuum-limit coherence, by checked panel quadrature.
 
     Integrates the Gaussian-weighted JC amplitude over inner products within
     eight standard deviations of the mean (tail mass < 1e-15), on panels that
     each span pi/2 of the phase at the largest t (at least 16), at Gauss order
-    16 checked against order 8 to rel_tol.  Each evaluation is the exact sum's
-    mixture kernel with the quadrature nodes as inner products and the
-    Gaussian-scaled weights as probabilities: 2K plain exponentials for K
+    16 checked against order 8 to QUAD_REL_TOL.  Each evaluation is the
+    exact sum's mixture kernel with the quadrature nodes as inner products and
+    the Gaussian-scaled weights as probabilities: 2K plain exponentials for K
     nodes, blocked on equispaced grids.  Returns the shape of t.
 
     Raises CapacityError, before any evaluation, when the nodes of both orders
@@ -241,7 +244,7 @@ def coherence_continuum(
         return _mixture_coherence(params.g, params.delta, lam,
                                   weights * _gaussian(stats, lam), flat)
 
-    out = _checked_gauss(evaluate, flat, rel_tol, "continuum quadrature")
+    out = _checked_gauss(evaluate, flat, QUAD_REL_TOL, "continuum quadrature")
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
@@ -291,7 +294,7 @@ def _excised_window(stats: EnsembleStats, phi: np.ndarray, lam_cut: float) -> np
     return 2.0 * (c0 * m[0].real + 1j * c1 * m[1].imag + c2 * m[2].real)
 
 
-def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float = 1e-6):
+def coherence_broad_integral(g: float, stats: EnsembleStats, t):
     """Broad-ensemble integral |int N(mu, sigma^2) exp(i g^2 t / 2 Lam) dLam|.
 
     The essential singularity at Lam = 0 is excised over |Lam| < 1e-3 sigma
@@ -299,7 +302,7 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
     side into int N(+/-1/u) u^-2 exp(+/- i phi u) du, phi = g^2 t / 2: over
     Gauss nodes u_j, which do not depend on t, one exponential sum for the
     whole grid.  The u-panels are geometric joined with a step of
-    pi / (2 phi_max); order 16 is checked against order 8 to rel_tol.
+    pi / (2 phi_max); order 16 is checked against order 8 to BROAD_REL_TOL.
 
     Raises CapacityError, before any evaluation, when the nodes of both orders
     exceed the work budget (see _check_budget), and NumericalError when the
@@ -335,7 +338,7 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t, rel_tol: float =
             coef = np.concatenate([w * _gaussian(stats, sign / u) / u**2 for sign, u, w in parts])
             return _exp_sum(freq, coef, flat)[live] + window
 
-        out[live] = np.abs(_checked_gauss(evaluate, flat[live], rel_tol,
+        out[live] = np.abs(_checked_gauss(evaluate, flat[live], BROAD_REL_TOL,
                                           "broad-ensemble quadrature"))
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
 

@@ -66,11 +66,10 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo estimate with its standard error and sampling metadata."""
+    """Monte-Carlo estimate with its standard error."""
 
     value: float
     stderr: float
-    n_samples: int
     truncation_remainder: float = 0.0  # fraction of the radial integral beyond r_max
 
 
@@ -161,9 +160,4 @@ def average_variance_mc(
     np.multiply(weights, sech2, out=weights)
     value = float(weights.mean())
     stderr = float(weights.std(ddof=1) / math.sqrt(n_samples))
-    return McEstimate(
-        value=value,
-        stderr=stderr,
-        n_samples=n_samples,
-        truncation_remainder=(mat.r0 / r_max) ** d,
-    )
+    return McEstimate(value=value, stderr=stderr, truncation_remainder=(mat.r0 / r_max) ** d)

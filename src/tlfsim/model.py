@@ -94,10 +94,6 @@ class ThermalContext:
             raise InvalidInputError(f"kt must be positive and finite, got {kt!r}")
         return cls(kt=kt)
 
-    @property
-    def is_scale_separated(self) -> bool:
-        return self.kt is None
-
     def tanh_factor(self, epsilon: float) -> float:
         """tanh(epsilon / 2 kT); zero in the scale-separated limit."""
         if not math.isfinite(epsilon) or epsilon < 0:
@@ -128,11 +124,10 @@ class JcEigensystem:
 
 @dataclass(frozen=True)
 class CoherenceTrace:
-    """Time grid plus coherence magnitudes with a provenance label."""
+    """Time grid plus coherence magnitudes."""
 
     t: np.ndarray
     values: np.ndarray
-    label: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))

@@ -336,8 +336,4 @@ def coherence_from_state(
         for i in range(0, len(states), _CHUNK):
             stack = np.stack([s.rho for s in states[i : i + _CHUNK]])
             values[i : i + _CHUNK] = np.abs(stack.reshape(len(stack), -1) @ a_vec)
-    return CoherenceTrace(
-        t=np.asarray(t_grid, dtype=float),
-        values=values / abs(a0_expectation),
-        label="oracle",
-    )
+    return CoherenceTrace(t=np.asarray(t_grid, dtype=float), values=values / abs(a0_expectation))

@@ -118,7 +118,7 @@ class TestValidation:
 
         for name in ("coherence_exact_ensemble", "coherence_broad_integral"):
             monkeypatch.setattr(cli, name, not_called)
-        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        for out in (tmp_path / "missing" / "x.csv", tmp_path, ""):
             rc = main(["figure", "6", "--out", str(out)])
             err = capsys.readouterr().err
             assert rc == 2
@@ -174,8 +174,7 @@ class TestValidation:
 
         def estimate(*args):
             calls.append(args)
-            return McEstimate(value=1.0, stderr=0.0, n_samples=args[-2],
-                              truncation_remainder=0.0)
+            return McEstimate(value=1.0, stderr=0.0, truncation_remainder=0.0)
 
         monkeypatch.setattr(cli, "average_variance_mc", estimate)
         monkeypatch.setattr(ensemble, "MAX_TERMS", 257 * 10_000)
@@ -365,8 +364,7 @@ class TestScenarios:
         ens = tlfsim.TlfEnsemble(
             tlfsim.sample_uniform_couplings(5, 0.05, np.random.default_rng(2)),
             tlfsim.ThermalContext.scale_separated())
-        ref = tlfsim.coherence_broad_integral(0.01, tlfsim.ensemble_stats(ens), data["t"],
-                                              rel_tol=1e-6)
+        ref = tlfsim.coherence_broad_integral(0.01, tlfsim.ensemble_stats(ens), data["t"])
         assert np.array_equal(data["broad"], ref)
 
     def test_micro_scans_temperature(self, tmp_path):
@@ -453,6 +451,11 @@ CONTRACT_PROBES = [
     ["continuum", "--mu", "1e300", "--n-points", "5", "--methods", "broad"],
     ["figure", "6", "--t-max", "1e300"],
     ["figure", "7", "--t-max", "1e300"],
+    ["jc-only", "--delta", "-1e-3", "--n-points", "3"],
+    ["continuum", "--mu", "-1E+2", "--n-points", "3"],
+    ["jc-only", "--n-points", "abc"],
+    ["figure", "1", "--seed", "1.5"],
+    ["jc-only", "--t-max", "1e400"],
 ]
 
 
@@ -467,6 +470,27 @@ def test_input_contract(tmp_path, capsys, argv):
         prefix = {2: "error: ", 3: "numerical error: "}[rc]
         assert err.splitlines()[-1].startswith(prefix)
         assert not out.exists()
+
+
+def test_exponent_form_negative_is_a_value(tmp_path):
+    assert main(["jc-only", "--delta", "-1e-3", "--n-points", "3",
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["jc-only", "--delta=-1e-3", "--n-points", "3",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["jc-only", "--n-points", "abc"], "tGrid.nPoints"),
+    (["figure", "1", "--seed", "1.5"], "seed"),
+    (["jc-only", "--t-max", "1e400"], "tGrid.tMax"),
+], ids=["n-points", "seed", "t-max"])
+def test_run_key_error_quotes_user_text(tmp_path, capsys, argv, key):
+    # argparse no longer converts run keys, so the one parser quotes the text
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.endswith(f"(got {argv[-1]!r})\n")
+    assert err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -18,25 +18,14 @@ def fit_rate(t, values, mask):
 
 class TestReducedRhs:
     def test_g_zero_constant(self):
-        state = ts.ReducedState.initial()
-        d = ts.reduced_rhs(state, 0.0, 0.01, 0.005)
-        assert d.x_plus == 0.0
+        t = np.linspace(0.0, 1000.0, 50)
+        trace = ts.integrate_reduced(0.0, 0.01, 0.005, t)
+        assert np.abs(trace.values - 1.0).max() < 1e-12
 
     def test_bare_rabi(self):
         t = np.linspace(0.0, 100.0, 200)
         trace = ts.integrate_reduced(0.1, 0.0, 0.0, t)
         assert np.abs(trace.values - np.abs(np.cos(0.1 * t))).max() < 1e-8
-
-    def test_finite_difference(self):
-        rng = np.random.default_rng(3)
-        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = ts.ReducedState(*vec)
-        g, lam, gam = 0.1, 0.02, 0.01
-        d = ts.reduced_rhs(state, g, lam, gam)
-        h = 1e-6
-        from tlfsim.dissipative import _rhs_matrix
-        expm_step = vec + h * (_rhs_matrix(g, lam, gam) @ vec)
-        assert np.abs(expm_step - (vec + h * d.as_vector())).max() < 1e-12
 
 
 class TestIntegrateReduced:
@@ -138,8 +127,8 @@ class TestStrongDamped:
         g, lam = 0.01, 0.1
         t = np.linspace(0.0, 3000.0, 500)
         params = ts.JcParams(1.0, 1.0, g)
-        vals = ts.coherence_strong_damped(g, lam, 0.0, t,
-                                          regime=DampingRegime.STRONG_WEAK_DAMP)
+        assert ts.classify_regime(g, lam, 0.0) is DampingRegime.STRONG_WEAK_DAMP
+        vals = ts.coherence_strong_damped(g, lam, 0.0, t)
         ref = ts.coherence_strong_leading(params, ts.TlfSpec(0.1, lam), ss, t)
         assert np.abs(vals - ref).max() < 1e-12
 
@@ -166,11 +155,11 @@ class TestStrongDamped:
             ts.coherence_strong_damped(0.01, 0.0, 0.1, 1.0)
 
     def test_weak_regime_requested_rejected(self):
-        with pytest.raises(InvalidInputError):
+        assert ts.classify_regime(0.1, 0.01, 0.1) is DampingRegime.WEAK_COUPLING
+        with pytest.raises(InvalidInputError, match="regime weak-coupling is not"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                ts.coherence_strong_damped(0.01, 0.1, 0.1, 1.0,
-                                           regime=DampingRegime.WEAK_COUPLING)
+                ts.coherence_strong_damped(0.1, 0.01, 0.1, 1.0)
 
 
 class TestSlowRoot:
@@ -208,9 +197,16 @@ class TestRegimes:
     def test_weak_damping(self):
         assert ts.classify_regime(0.01, 0.1, 0.001) is DampingRegime.STRONG_WEAK_DAMP
 
-    def test_configurable_thresholds(self):
-        assert ts.classify_regime(0.03, 0.01, 0.01, weak_coupling_ratio=2.0) \
-            is DampingRegime.WEAK_COUPLING
+    def test_boundaries_at_ratio_five(self):
+        # each boundary is inclusive: g = 5|lam|, gamma = |lam|/5, gamma = 5|lam|
+        cases = [((0.05, 0.01, 0.01), DampingRegime.WEAK_COUPLING),
+                 ((1.25, -0.25, 0.05), DampingRegime.WEAK_COUPLING),
+                 ((1.0, 0.25, 0.05), DampingRegime.STRONG_WEAK_DAMP),
+                 ((0.01, 0.25, 0.0625), DampingRegime.STRONG_INTERMEDIATE),
+                 ((0.01, 0.25, 1.0), DampingRegime.STRONG_INTERMEDIATE),
+                 ((0.01, -0.25, 1.25), DampingRegime.STRONG_STRONG_DAMP)]
+        for rates, regime in cases:
+            assert ts.classify_regime(*rates) is regime, rates
 
     def test_damping_character(self):
         assert ts.damping_character(0.1, 0.01, 0.001) is DampingCharacter.UNDERDAMPED

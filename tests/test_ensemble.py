@@ -523,6 +523,19 @@ class TestBroadIntegral:
             ts.coherence_broad_integral(0.01, ts.EnsembleStats(mu=0.0, sigma2=0.0), 1.0)
 
 
+def test_rel_tol_constants_own_the_thresholds(monkeypatch):
+    # with no gap allowed, orders 16 and 8 always disagree somewhere
+    stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
+    t = np.linspace(0.0, 600.0, 30)
+    monkeypatch.setattr(ensemble, "QUAD_REL_TOL", 0.0)
+    with pytest.raises(NumericalError, match="continuum quadrature not converged"):
+        ts.coherence_continuum(ts.JcParams(1.0, 1.0, 0.01), stats, t)
+    ts.coherence_broad_integral(0.01, stats, t)  # its own threshold still holds
+    monkeypatch.setattr(ensemble, "BROAD_REL_TOL", 0.0)
+    with pytest.raises(NumericalError, match="broad-ensemble quadrature not converged"):
+        ts.coherence_broad_integral(0.01, stats, t)
+
+
 class TestBroadErfc:
     def test_initial_value(self):
         stats = ts.EnsembleStats(mu=0.0, sigma2=0.03**2)
