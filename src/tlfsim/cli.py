@@ -61,7 +61,10 @@ KINDS = ("jc-only", "single-tlf", "dissipative", "ensemble", "continuum", "micro
 
 def _f(lo=None, hi=None, lo_open=False):
     def parse(s: str) -> float:
-        x = float(s)
+        try:
+            x = float(s)
+        except ValueError:
+            raise ValueError("must be a number") from None
         if not math.isfinite(x):
             raise ValueError("must be finite")
         if lo is not None and (x <= lo if lo_open else x < lo):
@@ -74,7 +77,10 @@ def _f(lo=None, hi=None, lo_open=False):
 
 def _i(lo=None, hi=None):
     def parse(s: str) -> int:
-        x = int(s)
+        try:
+            x = int(s)
+        except ValueError:
+            raise ValueError("must be an integer") from None
         if lo is not None and x < lo:
             raise ValueError(f"must be >= {lo}")
         if hi is not None and x > hi:

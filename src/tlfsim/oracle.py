@@ -50,7 +50,6 @@ __all__ = [
 _SIGMA_Z = np.diag([1.0, -1.0])
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |e><g|
 _SIGMA_MINUS = _SIGMA_PLUS.T
-_I2 = np.eye(2)
 _MAX_DIM = 4096  # largest Hilbert dimension the dense oracles build
 
 

@@ -456,6 +456,10 @@ CONTRACT_PROBES = [
     ["jc-only", "--n-points", "abc"],
     ["figure", "1", "--seed", "1.5"],
     ["jc-only", "--t-max", "1e400"],
+    ["dissipative", "--lambda", "1e308", "--n-points", "5"],
+    ["dissipative", "--lambda", "-1e308", "--n-points", "5"],
+    ["dissipative", "--lambda", "9e307", "--n-points", "5"],
+    ["dissipative", "--gamma", "9e307", "--n-points", "5"],
 ]
 
 
@@ -484,12 +488,14 @@ def test_exponent_form_negative_is_a_value(tmp_path):
     (["jc-only", "--n-points", "abc"], "tGrid.nPoints"),
     (["figure", "1", "--seed", "1.5"], "seed"),
     (["jc-only", "--t-max", "1e400"], "tGrid.tMax"),
-], ids=["n-points", "seed", "t-max"])
+    (["dissipative", "--g", "abc"], "g"),
+], ids=["n-points", "seed", "t-max", "schema-key"])
 def test_run_key_error_quotes_user_text(tmp_path, capsys, argv, key):
     # argparse no longer converts run keys, so the one parser quotes the text
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and err.endswith(f"(got {argv[-1]!r})\n")
+    assert err.count(argv[-1]) == 1
     assert err.count("\n") == 1
 
 

@@ -1,11 +1,14 @@
 """Dissipative fluctuator: reduced propagator, damped closed forms and regimes."""
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import tlfsim as ts
+from tlfsim import dissipative
 from tlfsim.dissipative import DampingCharacter, DampingRegime
 from tlfsim.errors import InvalidInputError, NumericalError, RegimeWarning
 
@@ -14,6 +17,12 @@ from conftest import oracle_lindblad_trace
 
 def fit_rate(t, values, mask):
     return -np.polyfit(t[mask], np.log(values[mask]), 1)[0]
+
+
+def expm_reference(g, lam, gamma, t):
+    """C(t) = sqrt(2)|X+(t)| = |e^(M t)[0, 0]|, one matrix exponential per point."""
+    m = dissipative._rhs_matrix(g, lam, gamma)
+    return np.abs(expm(t[:, None, None] * m)[:, 0, 0])
 
 
 class TestReducedRhs:
@@ -41,7 +50,7 @@ class TestIntegrateReduced:
         pytest.param(0.1, 0.01, 1.0, id="1.0"),
         pytest.param(0.1, 0.01, 10.0, id="10.0"),
         # g = lam = gamma sits next to an exceptional point: cond(V) ~ 2e8, so
-        # integrate_reduced takes its matrix-exponential fallback.
+        # a propagator built on the eigenvectors of M would lose ~1e-8 here.
         pytest.param(0.05, 0.05, 1.0, id="exceptional-point"),
     ])
     def test_matches_lindblad_oracle(self, ss, g, lam, ratio):
@@ -67,6 +76,53 @@ class TestIntegrateReduced:
     def test_overflow_is_numerical_error(self):
         with pytest.raises(NumericalError):
             ts.integrate_reduced(1e200, 1e200, 1e200, [0.0, 1.0])
+
+    @pytest.mark.parametrize("g, lam, gamma", [
+        (0.1, 1e308, 0.005), (0.1, -1e308, 0.005), (0.1, 9e307, 0.005), (0.1, 0.01, 9e307),
+    ])
+    def test_non_finite_matrix_refused_before_expm(self, monkeypatch, g, lam, gamma):
+        # 2 lambda or 2 gamma overflows in M; expm of it would quietly give NaN
+        def no_expm(m):
+            raise AssertionError("expm called on a non-finite matrix")
+
+        monkeypatch.setattr(dissipative, "expm", no_expm)
+        where = f"g = {g:g}, lambda = {lam:g}, gamma = {gamma:g}"
+        with pytest.raises(NumericalError, match=re.escape(where)):
+            ts.integrate_reduced(g, lam, gamma, [0.0, 1.0])
+
+    def test_step_matrix_count_independent_of_grid_size(self, monkeypatch):
+        calls = []
+        scipy_expm = dissipative.expm
+
+        def counting_expm(m):
+            calls.append(m)
+            return scipy_expm(m)
+
+        monkeypatch.setattr(dissipative, "expm", counting_expm)
+        for n in (1000, 50_000):
+            calls.clear()
+            # the step to t_0 = 0, the block step B h and the fine step h
+            ts.integrate_reduced(0.05, 0.05, 0.05, np.linspace(0.0, 100.0, n))
+            assert len(calls) == 3
+        calls.clear()
+        # intervals 0, 1, 1, 0, 1, 2, plus the unused fine step h = 0
+        ts.integrate_reduced(0.1, 0.01, 0.01, [0.0, 1.0, 2.0, 2.0, 3.0, 5.0])
+        assert len(calls) == 4
+
+    def test_million_points_at_exceptional_point(self):
+        g = lam = gamma = 0.05
+        t = np.linspace(0.0, 5 / gamma, 10**6)
+        values = ts.integrate_reduced(g, lam, gamma, t).values
+        idx = np.linspace(0, t.size - 1, 1001).round().astype(int)
+        assert np.abs(values[idx] - expm_reference(g, lam, gamma, t[idx])).max() <= 1e-12
+
+    @pytest.mark.parametrize("g, lam, gamma", [
+        (0.1, 0.01, 0.002), (0.05, 0.05, 0.05), (0.01, 0.1, 0.1),
+    ])
+    def test_non_uniform_grid(self, g, lam, gamma):
+        t = np.geomspace(1e-2, 5 / gamma, 100)
+        values = ts.integrate_reduced(g, lam, gamma, t).values
+        assert np.abs(values - expm_reference(g, lam, gamma, t)).max() <= 1e-12
 
     def test_coherence_eventually_lost(self):
         t = np.array([0.0, 5e4])
