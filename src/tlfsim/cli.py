@@ -12,6 +12,7 @@ import errno
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,8 +487,13 @@ def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndar
             setups.append((METHODS[kind], setup))
             resolved.update(values if names is None
                             else {name: values[key] for key, name in names.items()})
-        out = [(name, np.asarray(setups[i][0][tag](setups[i][1], t)))
-               for name, i, tag in columns]
+        out = []
+        for name, i, tag in columns:
+            # the caller's filters apply; what passes is printed under the column
+            with warnings.catch_warnings(record=True) as caught:
+                out.append((name, np.asarray(setups[i][0][tag](setups[i][1], t))))
+            for w in caught:
+                print(f"warning: {name}: {w.message}", file=sys.stderr)
     for name, values in out:
         bad = ~np.isfinite(values)
         if np.any(bad):

@@ -218,26 +218,44 @@ def _phasors(phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phasor_rows(start: float, step: float, f: np.ndarray, rows: int) -> np.ndarray:
+    """exp(i f (start + r step)) for r < rows, as a (rows, f.size) table.
+
+    Doubling: rows [n, 2n) are rows [0, n) times exp(i f n step), so each
+    entry is a product of at most log2(rows) + 1 direct phasors.
+    """
+    out = np.empty((rows, f.size), dtype=complex)
+    out[0] = _phasors(start * f)
+    n = 1
+    while n < rows:
+        m = min(n, rows - n)
+        np.multiply(out[:m], _phasors(n * step * f), out=out[n : n + m])
+        n *= 2
+    return out
+
+
 def _exp_sum(freq: np.ndarray, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_j coef_j exp(i freq_j t) at each point of the 1-D grid t, as complex.
 
     On an equispaced grid t_n = t_0 + n h, write n = b B + m with B ~ sqrt(T):
-    e^{i freq t_n} = e^{i freq t_{bB}} e^{i freq m h}, where t_{bB} are the
-    grid's own values, so the sum is one matrix product Z @ E^T of a (T/B, J)
-    and a (B, J) phasor table, costing (T/B + B) J exponentials for J terms.
-    Any other grid takes the same path with B = 1.  Terms are taken in chunks
-    so that no work array exceeds _WORK_ELEMENTS elements.
+    e^{i freq t_n} = e^{i freq (t_0 + bBh)} e^{i freq m h}, so the sum is one
+    matrix product Z @ E^T of a (T/B, J) and a (B, J) phasor table, each from
+    _phasor_rows: about 2 J log2 sqrt(T) cos/sin pairs and 2 J sqrt(T)
+    complex products for J terms.  t_0 + bBh agrees with the grid's own t_{bB}
+    within _uniform_block's 4 ulp.  Any other grid has B = 1 and one direct
+    phasor per point and term.  Terms are taken in chunks so that no work
+    array exceeds _WORK_ELEMENTS elements.
     """
     block, h = _uniform_block(t)
-    coarse = t[::block]
-    fine = np.arange(block) * h
-    total = np.zeros((coarse.size, block), dtype=complex)
-    chunk = max(1, _WORK_ELEMENTS // max(coarse.size, block))
+    rows = -(-t.size // block)
+    total = np.zeros((rows, block), dtype=complex)
+    chunk = max(1, _WORK_ELEMENTS // max(rows, block))
     for i in range(0, freq.size, chunk):
         f = freq[i : i + chunk]
-        z = _phasors(np.multiply.outer(coarse, f))
+        z = (_phasors(np.multiply.outer(t, f)) if block == 1
+             else _phasor_rows(t[0], block * h, f, rows))
         z *= coef[i : i + chunk]
-        total += z @ _phasors(np.multiply.outer(fine, f)).T
+        total += z @ _phasor_rows(0.0, h, f, block).T
     return total.ravel()[: t.size]
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,20 @@ class TestScenarios:
         ref = ts.coherence_exact_single(params, ts.TlfSpec(0.1, 0.01),
                                         ts.ThermalContext.scale_separated(), data["t"])
         assert np.abs(data["exact"] - ref).max() < 1e-14
+
+    def test_regime_warning_names_its_column(self, tmp_path, capsys):
+        # g = 0.1 against lambda = 0.01 is outside the strong-coupling regime
+        rc = main(["single-tlf", "--n-points", "50", "--methods", "exact,strong_leading",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: strong_leading: strong-coupling formula outside regime: |lam|/g = 0.1\n")
+        # a caller's filter still silences them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", tlfsim.RegimeWarning)
+            assert main(["single-tlf", "--n-points", "50", "--methods", "strong_leading",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_finite_temperature_flag(self, tmp_path):
         import tlfsim as ts

@@ -193,6 +193,31 @@ class TestMixtureKernel:
         assert vals.shape == t.shape
         assert np.abs(vals - brute_mixture(*mixture, t)).max() <= 1e-13
 
+    def test_million_point_grid(self, mixture):
+        # 10^6 points: the doubled phasor rows keep their rounding at ~1e-14
+        t = np.linspace(0.0, 1e3, 10**6)
+        sample = np.arange(0, t.size, 997)
+        vals = model._mixture_coherence(*mixture, t)[sample]
+        assert np.abs(vals - brute_mixture(*mixture, t[sample])).max() <= 1e-12
+
+    def test_phasor_work_is_logarithmic(self, monkeypatch):
+        # B = 500 on 250,000 points: each table is one direct row plus
+        # ceil(log2 500) doublings, against 1000 J direct phasors row by row
+        elements = []
+        direct = model._phasors
+
+        def counting(phase):
+            elements.append(phase.size)
+            return direct(phase)
+
+        monkeypatch.setattr(model, "_phasors", counting)
+        rng = np.random.default_rng(3)
+        n_terms = 24
+        freq = rng.uniform(-1.0, 1.0, n_terms)
+        t = np.linspace(0.0, 600.0, 250_000)
+        model._exp_sum(freq, np.ones(n_terms), t)
+        assert sum(elements) <= (2 * math.ceil(math.log2(500)) + 2) * n_terms
+
     def test_grid_classification(self):
         assert model._uniform_block(np.linspace(0.0, 400.0, 500))[0] == 22
         assert model._uniform_block(np.geomspace(1e-2, 400.0, 300))[0] == 1
