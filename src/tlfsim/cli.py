@@ -466,6 +466,15 @@ def _preset_params(kind: str, params: dict) -> dict:
     return sc.params
 
 
+def _reporting_warnings(label: str, fn, *args):
+    """fn(*args); each warning it raises past the caller's filters is one stderr line."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(*args)
+    for w in caught:
+        print(f"warning: {label}: {w.message}", file=sys.stderr)
+    return result
+
+
 def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndarray]], dict]:
     """First column, method columns and manifest extras of a subcommand run or
     a figure preset; a preset's scenarios share one rng, in order."""
@@ -483,17 +492,12 @@ def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndar
     # refused below, so numpy's floating-point warnings would only repeat it.
     with np.errstate(all="ignore"):
         for kind, p, names in scenarios:
-            setup, values = _setup(kind, p, rng, t)
+            setup, values = _reporting_warnings(f"{kind} setup", _setup, kind, p, rng, t)
             setups.append((METHODS[kind], setup))
             resolved.update(values if names is None
                             else {name: values[key] for key, name in names.items()})
-        out = []
-        for name, i, tag in columns:
-            # the caller's filters apply; what passes is printed under the column
-            with warnings.catch_warnings(record=True) as caught:
-                out.append((name, np.asarray(setups[i][0][tag](setups[i][1], t))))
-            for w in caught:
-                print(f"warning: {name}: {w.message}", file=sys.stderr)
+        out = [(name, np.asarray(_reporting_warnings(name, setups[i][0][tag], setups[i][1], t)))
+               for name, i, tag in columns]
     for name, values in out:
         bad = ~np.isfinite(values)
         if np.any(bad):

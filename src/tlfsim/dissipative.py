@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidInputError, NumericalError, RegimeWarning
-from .model import CoherenceTrace, _as_time, _uniform_block
+from .model import CoherenceTrace, _over_time, _time_grid, _uniform_block
 
 __all__ = [
     "DampingRegime",
@@ -81,9 +81,7 @@ def integrate_reduced(g: float, lam: float, gamma: float, t_grid) -> CoherenceTr
     |0>+|1> initial state at zero detuning, so this agrees with the dense
     Lindblad evolution to that evolution's own accuracy.
     """
-    t_arr = _as_time(t_grid)
-    if np.any(np.diff(t_arr) < 0):
-        raise InvalidInputError("t_grid must be sorted")
+    t_arr = _time_grid(t_grid)
     m = _rhs_matrix(g, lam, gamma)
     where = f"g = {g:g}, lambda = {lam:g}, gamma = {gamma:g}"
     if not np.all(np.isfinite(m)):
@@ -145,6 +143,7 @@ def _damped_bracket(gamma_eff: float, kappa_sq: float, t: np.ndarray) -> np.ndar
     return out.real
 
 
+@_over_time
 def coherence_weak_damped(g: float, lam: float, gamma: float, t):
     """Weak-coupling damped coherence: Rabi oscillation under a decaying envelope.
 
@@ -156,15 +155,14 @@ def coherence_weak_damped(g: float, lam: float, gamma: float, t):
         warnings.warn(
             f"weak-coupling damped formula outside regime: g/|lam| = {g / abs(lam):.3g}",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    arr = _as_time(t)
     gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, DampingRegime.WEAK_COUPLING)
-    env = np.exp(-gamma_eff * arr) * _damped_bracket(gamma_eff, kappa_sq, arr)
-    out = np.abs(np.cos(g * arr) * env)
-    return out if arr.ndim else float(out)
+    env = np.exp(-gamma_eff * t) * _damped_bracket(gamma_eff, kappa_sq, t)
+    return np.abs(np.cos(g * t) * env)
 
 
+@_over_time
 def coherence_strong_damped(g: float, lam: float, gamma: float, t):
     """Strong-coupling damped coherence in the regime classify_regime assigns.
 
@@ -179,21 +177,18 @@ def coherence_strong_damped(g: float, lam: float, gamma: float, t):
         warnings.warn(
             f"strong-coupling damped formula outside regime: |lam|/g = {abs(lam) / g:.3g}",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     regime = classify_regime(g, lam, gamma)
-    arr = _as_time(t)
     if regime is DampingRegime.STRONG_INTERMEDIATE:
-        out = np.exp(-(g**2) * gamma * arr / (2.0 * lam**2))
-    elif regime in (DampingRegime.STRONG_WEAK_DAMP, DampingRegime.STRONG_STRONG_DAMP):
+        return np.exp(-(g**2) * gamma * t / (2.0 * lam**2))
+    if regime in (DampingRegime.STRONG_WEAK_DAMP, DampingRegime.STRONG_STRONG_DAMP):
         gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, regime)
-        out = np.exp(-gamma_eff * arr) * np.abs(_damped_bracket(gamma_eff, kappa_sq, arr))
-    else:
-        raise InvalidInputError(
-            f"regime {regime.value} is not a strong-coupling regime; "
-            "use coherence_weak_damped instead"
-        )
-    return out if arr.ndim else float(out)
+        return np.exp(-gamma_eff * t) * np.abs(_damped_bracket(gamma_eff, kappa_sq, t))
+    raise InvalidInputError(
+        f"regime {regime.value} is not a strong-coupling regime; "
+        "use coherence_weak_damped instead"
+    )
 
 
 def slow_root_cubic(g: float, lam: float, gamma: float) -> float:

@@ -33,9 +33,9 @@ from .model import (
     JcParams,
     ThermalContext,
     thermal_population,
-    _as_time,
     _exp_sum,
     _mixture_coherence,
+    _over_time,
     _rabi_envelope,
 )
 from .single_fluctuator import TlfSpec
@@ -141,6 +141,7 @@ def _check_budget(count, points: int, what: str) -> None:
                             f"{shown} terms, more than {MAX_TERMS}")
 
 
+@_over_time
 def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     """Exact 2^N-configuration coherence sum.
 
@@ -154,7 +155,7 @@ def coherence_exact_ensemble(params: JcParams, ens: TlfEnsemble, t):
     the continuum approximation beyond), and DegenerateEigensystemError if any
     configuration shifts the system exactly onto the degenerate point.
     """
-    _check_budget(2**ens.n, np.size(t), f"exact ensemble sum over 2^{ens.n} configurations")
+    _check_budget(2**ens.n, t.size, f"exact ensemble sum over 2^{ens.n} configurations")
     lam_sum, prob = _configuration_table(ens)
     return _mixture_coherence(params.g, params.delta, lam_sum, prob, t)
 
@@ -213,6 +214,7 @@ def _checked_gauss(evaluate, t: np.ndarray, rel_tol: float, what: str) -> np.nda
     return total
 
 
+@_over_time
 def coherence_continuum(params: JcParams, stats: EnsembleStats, t):
     """Gaussian continuum-limit coherence, by checked panel quadrature.
 
@@ -230,24 +232,22 @@ def coherence_continuum(params: JcParams, stats: EnsembleStats, t):
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_continuum requires sigma2 > 0")
-    arr = _as_time(t)
-    flat = arr.ravel()
     lo, hi = stats.mu - 8.0 * stats.sigma, stats.mu + 8.0 * stats.sigma
     # phase slope of exp(-i Lam t) exp(+/- i Omega(Lam) t / 2) is at most 2t
-    panels = oscillation_panels(lo, hi, 2.0 * float(np.max(flat, initial=0.0)))
+    panels = oscillation_panels(lo, hi, 2.0 * float(np.max(t, initial=0.0)))
     nodes = _NODES_PER_PANEL * panels
-    _check_budget(nodes, flat.size, f"continuum quadrature over {nodes:.6g} nodes")
+    _check_budget(nodes, t.size, f"continuum quadrature over {nodes:.6g} nodes")
     edges = np.linspace(lo, hi, int(panels) + 1)
 
     def evaluate(order: int) -> np.ndarray:
         lam, weights = panel_nodes(edges, order)
         return _mixture_coherence(params.g, params.delta, lam,
-                                  weights * _gaussian(stats, lam), flat)
+                                  weights * _gaussian(stats, lam), t)
 
-    out = _checked_gauss(evaluate, flat, QUAD_REL_TOL, "continuum quadrature")
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    return _checked_gauss(evaluate, t, QUAD_REL_TOL, "continuum quadrature")
 
 
+@_over_time
 def coherence_narrow(params: JcParams, stats: EnsembleStats, t):
     """Narrow-ensemble law: mean-shifted Rabi oscillation times a Gaussian envelope.
 
@@ -258,16 +258,14 @@ def coherence_narrow(params: JcParams, stats: EnsembleStats, t):
         warnings.warn(
             f"narrow-ensemble law outside regime: g/sigma = {params.g / stats.sigma:.3g}",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    arr = _as_time(t)
     delta_mu = params.delta + 2.0 * stats.mu
     omega_mu = math.hypot(2.0 * params.g, delta_mu)
     if omega_mu == 0.0:
         raise DegenerateEigensystemError("mean-shifted doublet is degenerate")
-    rabi = _rabi_envelope(omega_mu * arr / 2.0, delta_mu / omega_mu)
-    out = rabi * np.exp(-stats.sigma2 * arr**2 / 2.0)
-    return out if arr.ndim else float(out)
+    rabi = _rabi_envelope(omega_mu * t / 2.0, delta_mu / omega_mu)
+    return rabi * np.exp(-stats.sigma2 * t**2 / 2.0)
 
 
 # Broad integral: excision edge (units of sigma) and geometric u-edges per side.
@@ -294,6 +292,7 @@ def _excised_window(stats: EnsembleStats, phi: np.ndarray, lam_cut: float) -> np
     return 2.0 * (c0 * m[0].real + 1j * c1 * m[1].imag + c2 * m[2].real)
 
 
+@_over_time
 def coherence_broad_integral(g: float, stats: EnsembleStats, t):
     """Broad-ensemble integral |int N(mu, sigma^2) exp(i g^2 t / 2 Lam) dLam|.
 
@@ -310,14 +309,12 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t):
     """
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_broad_integral requires sigma2 > 0")
-    arr = _as_time(t)
-    flat = arr.ravel()
-    phi = g**2 * flat / 2.0
+    phi = g**2 * t / 2.0
     # |C - 1| <= int N min(2, phi/|Lam|) dLam = O(sqrt(phi/sigma)), so for
     # phases this small the integral is 1 to far below every tolerance;
     # evaluating it would also underflow the excision window
     live = phi >= 1e-18 * stats.sigma
-    out = np.ones(flat.shape)
+    out = np.ones(t.shape)
     if np.any(live):
         lam_cut = _BROAD_CUT * stats.sigma
         reach = [(8.0 * stats.sigma + stats.mu, 1.0), (8.0 * stats.sigma - stats.mu, -1.0)]
@@ -326,7 +323,7 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t):
         # geometric edges, which share both ends, they give G - 2 more panels
         n_lin = [oscillation_panels(u_lo, 1.0 / lam_cut, np.max(phi), 0) for u_lo, _ in sides]
         nodes = _NODES_PER_PANEL * sum(n + _BROAD_GEOM_EDGES - 2 for n in n_lin)
-        _check_budget(nodes, flat.size, f"broad integral over {nodes:.6g} nodes")
+        _check_budget(nodes, t.size, f"broad integral over {nodes:.6g} nodes")
         edges = [(np.union1d(np.geomspace(u_lo, 1.0 / lam_cut, _BROAD_GEOM_EDGES),
                              np.linspace(u_lo, 1.0 / lam_cut, int(n) + 1)), sign)
                  for (u_lo, sign), n in zip(sides, n_lin)]
@@ -336,13 +333,14 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t):
             parts = [(sign, *panel_nodes(e, order)) for e, sign in edges]
             freq = np.concatenate([sign * g**2 / 2.0 * u for sign, u, _ in parts])
             coef = np.concatenate([w * _gaussian(stats, sign / u) / u**2 for sign, u, w in parts])
-            return _exp_sum(freq, coef, flat)[live] + window
+            return _exp_sum(freq, coef, t)[live] + window
 
-        out[live] = np.abs(_checked_gauss(evaluate, flat[live], BROAD_REL_TOL,
+        out[live] = np.abs(_checked_gauss(evaluate, t[live], BROAD_REL_TOL,
                                           "broad-ensemble quadrature"))
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    return out
 
 
+@_over_time
 def coherence_broad_erfc(g: float, stats: EnsembleStats, t):
     """Short-time broad-ensemble law via complementary error functions.
 
@@ -356,25 +354,22 @@ def coherence_broad_erfc(g: float, stats: EnsembleStats, t):
         warnings.warn(
             f"erfc law unreliable for |mu|/sigma = {abs(stats.mu) / stats.sigma:.3g} > 1",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    arr = _as_time(t)
-    x = g**2 * arr / (2.0 * stats.sigma)
+    x = g**2 * t / (2.0 * stats.sigma)
     shift = stats.mu / (math.sqrt(2.0) * stats.sigma)
-    out = 0.5 * (erfc(x + shift) + erfc(x - shift))
-    return out if arr.ndim else float(out)
+    return 0.5 * (erfc(x + shift) + erfc(x - shift))
 
 
+@_over_time
 def coherence_broad_linear(g: float, stats: EnsembleStats, t):
     """Shortest-time broad-ensemble law: linear decay, floored at zero."""
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_broad_linear requires sigma2 > 0")
-    arr = _as_time(t)
     slope = g**2 * math.exp(-(stats.mu**2) / (2.0 * stats.sigma2)) / (
         math.sqrt(math.pi) * stats.sigma
     )
-    out = np.maximum(0.0, 1.0 - slope * arr)
-    return out if arr.ndim else float(out)
+    return np.maximum(0.0, 1.0 - slope * t)
 
 
 def sample_uniform_couplings(n: int, half_width: float, rng: np.random.Generator) -> list[TlfSpec]:

@@ -7,6 +7,7 @@ concurrently.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -185,6 +186,29 @@ def _as_time(t):
     return arr
 
 
+def _over_time(kernel):
+    """The time-argument rule of kernel(..., t): t, a finite nonnegative scalar or array
+    of any shape, reaches the kernel as a 1-D float grid, and the result comes back in
+    t's shape, or as a Python float for a scalar t."""
+    @functools.wraps(kernel)
+    def over_time(*args, **kwargs):
+        if "t" not in kwargs:
+            *args, kwargs["t"] = args
+        arr = _as_time(kwargs["t"])
+        kwargs["t"] = arr.ravel()
+        out = kernel(*args, **kwargs)
+        return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    return over_time
+
+
+def _time_grid(t) -> np.ndarray:
+    """t as a 1-D float grid; InvalidInputError unless sorted, finite and nonnegative."""
+    arr = np.asarray(t, dtype=float)
+    if arr.ndim != 1 or not np.all(np.isfinite(arr) & (arr >= 0)) or np.any(np.diff(arr) < 0):
+        raise InvalidInputError("t_grid must be a 1-D sorted, finite, nonnegative grid")
+    return arr
+
+
 def _rabi_envelope(x, r):
     """sqrt(cos^2 x + r^2 sin^2 x): oscillates between 1 and |r|."""
     return np.sqrt(np.cos(x) ** 2 + r**2 * np.sin(x) ** 2)
@@ -266,11 +290,8 @@ def _mixture_coherence(g: float, delta: float, lam, w, t):
     d_k = delta + 2 lam_k and Omega_k = sqrt(4 g^2 + d_k^2).  Splitting A_k
     into e^{+/- i Omega_k t / 2} turns the sum into 2K plain exponentials
     c_j e^{i omega_j t}, omega = -lam +/- Omega / 2, c = w (1 +/- d / Omega) / 2,
-    which _exp_sum evaluates.  Accepts a scalar or an array of any shape and
-    returns the same shape.
+    which _exp_sum evaluates at each point of the 1-D grid t.
     """
-    arr = _as_time(t)
-    flat = arr.ravel()
     d = delta + 2.0 * lam
     omega = np.hypot(2.0 * g, d)
     if np.any(omega == 0.0):
@@ -280,10 +301,10 @@ def _mixture_coherence(g: float, delta: float, lam, w, t):
     ratio = d / omega
     freq = np.concatenate([omega / 2.0 - lam, -omega / 2.0 - lam])
     coef = np.concatenate([w * (1.0 + ratio), w * (1.0 - ratio)]) / 2.0
-    out = np.abs(_exp_sum(freq, coef, flat))
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    return np.abs(_exp_sum(freq, coef, t))
 
 
+@_over_time
 def coherence_gr(params: JcParams, t) -> np.ndarray | float:
     """Coherence of the bare oscillator--TLS system at time(s) t.
 
@@ -292,17 +313,14 @@ def coherence_gr(params: JcParams, t) -> np.ndarray | float:
     |cos(g t)|.
     """
     eig = jc_eigensystem(params)
-    arr = _as_time(t)
-    out = _rabi_envelope(eig.omega * arr / 2.0, params.delta / eig.omega)
-    return out if arr.ndim else float(out)
+    return _rabi_envelope(eig.omega * t / 2.0, params.delta / eig.omega)
 
 
+@_over_time
 def coherence_gr_short_time(g: float, t) -> np.ndarray | float:
     """Quadratic short-time law 1 - g^2 t^2 / 2.
 
     Valid only while Omega t / 2 << 1; the caller is responsible for the
     regime.  Independent of the detuning.
     """
-    arr = _as_time(t)
-    out = 1.0 - (g * arr) ** 2 / 2.0
-    return out if arr.ndim else float(out)
+    return 1.0 - (g * t) ** 2 / 2.0

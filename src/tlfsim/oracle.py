@@ -30,6 +30,7 @@ from .model import (
     CoherenceTrace,
     JcParams,
     ThermalContext,
+    _time_grid,
     _uniform_block,
     thermal_population,
 )
@@ -182,18 +183,6 @@ def initial_state(
         p_plus, p_minus = thermal_population(tlf.epsilon, ctx)
         rho = np.kron(rho, np.diag([p_plus, p_minus]).astype(complex))
     return DenseState(rho=rho, dims=spec.dims)
-
-
-def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
-    t_arr = np.asarray(t_grid, dtype=float)
-    if (
-        t_arr.ndim != 1
-        or not np.all(np.isfinite(t_arr))
-        or np.any(np.diff(t_arr) < 0)
-        or np.any(t_arr < 0)
-    ):
-        raise InvalidInputError("t_grid must be a 1-D sorted, finite, nonnegative grid")
-    return t_arr
 
 
 # Time points per batched contraction; bounds the (chunk, d, d) work arrays.

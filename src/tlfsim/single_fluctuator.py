@@ -20,8 +20,8 @@ from .model import (
     ThermalContext,
     coherence_gr,
     thermal_population,
-    _as_time,
     _mixture_coherence,
+    _over_time,
     _rabi_envelope,
 )
 
@@ -57,6 +57,7 @@ class TlfSpec:
             raise InvalidInputError(f"lam must be finite, got {self.lam!r}")
 
 
+@_over_time
 def coherence_exact_single(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, t):
     """Exact four-frequency coherence for one non-dissipative fluctuator.
 
@@ -71,6 +72,7 @@ def coherence_exact_single(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, 
                               np.array([p_plus, p_minus]), t)
 
 
+@_over_time
 def coherence_weak_envelope(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, t):
     """Weak-coupling approximation: Rabi oscillation times a slow envelope.
 
@@ -82,18 +84,16 @@ def coherence_weak_envelope(params: JcParams, tlf: TlfSpec, ctx: ThermalContext,
         warnings.warn(
             f"weak-coupling envelope outside regime: g/|lam| = {params.g / lam:.3g}",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if lam > 0 and abs(params.delta) * lam >= 4.0 * params.g**2:
         warnings.warn(
             "weak-coupling envelope requires |delta| << 4 g^2 / |lam|",
             RegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    arr = _as_time(t)
     th = ctx.tanh_factor(tlf.epsilon)
-    out = np.asarray(coherence_gr(params, arr)) * _rabi_envelope(tlf.lam * arr, th)
-    return out if arr.ndim else float(out)
+    return coherence_gr(params, t) * _rabi_envelope(tlf.lam * t, th)
 
 
 def _check_strong_regime(params: JcParams, tlf: TlfSpec) -> None:
@@ -105,17 +105,18 @@ def _check_strong_regime(params: JcParams, tlf: TlfSpec) -> None:
         warnings.warn(
             f"strong-coupling formula outside regime: |lam|/g = {abs(tlf.lam) / params.g:.3g}",
             RegimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     if params.delta != 0.0:
         warnings.warn(
             "strong-coupling formulas assume delta = 0; "
             "use coherence_exact_single for detuned systems",
             RegimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
+@_over_time
 def coherence_strong_leading(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, t):
     """Leading strong-coupling envelope at frequency g^2 / 2 lam.
 
@@ -123,12 +124,11 @@ def coherence_strong_leading(params: JcParams, tlf: TlfSpec, ctx: ThermalContext
     it reaches zero, at zero temperature it stays pinned at 1.
     """
     _check_strong_regime(params, tlf)
-    arr = _as_time(t)
     th = ctx.tanh_factor(tlf.epsilon)
-    out = _rabi_envelope(params.g**2 * arr / (2.0 * tlf.lam), th)
-    return out if arr.ndim else float(out)
+    return _rabi_envelope(params.g**2 * t / (2.0 * tlf.lam), th)
 
 
+@_over_time
 def coherence_strong_higher(params: JcParams, tlf: TlfSpec, ctx: ThermalContext, t):
     """Strong-coupling formula with the O(g^2/lam^2) fast-ripple terms kept.
 
@@ -136,14 +136,12 @@ def coherence_strong_higher(params: JcParams, tlf: TlfSpec, ctx: ThermalContext,
     the leading envelope (weight A = 1 - B); B -> 0 recovers the leading form.
     """
     _check_strong_regime(params, tlf)
-    arr = _as_time(t)
     th = ctx.tanh_factor(tlf.epsilon)
     b = params.g**2 / (4.0 * tlf.lam**2)
     a = 1.0 - b
-    slow = params.g**2 * arr / (2.0 * tlf.lam)
-    fast = 2.0 * tlf.lam * arr
-    out = np.sqrt(
+    slow = params.g**2 * t / (2.0 * tlf.lam)
+    fast = 2.0 * tlf.lam * t
+    return np.sqrt(
         (a * np.cos(slow) + b * np.cos(fast)) ** 2
         + th**2 * (a * np.sin(slow) + b * np.sin(fast)) ** 2
     )
-    return out if arr.ndim else float(out)

@@ -1,14 +1,20 @@
 """Command-line interface: validation, determinism, CSV and manifest output."""
+import contextlib
+import inspect
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tlfsim
 from tlfsim import cli, ensemble
@@ -348,6 +354,18 @@ class TestScenarios:
                          "--out", str(tmp_path / "s.csv")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_setup_warning_names_its_scenario(self, tmp_path, capsys):
+        # JcParams warns while the scenario is set up, before any column runs
+        argv = ["jc-only", "--g", "2", "--n-points", "5", "--out", str(tmp_path / "j.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: jc-only setup: g = 2.0 is not small compared to min(epsilon_t, omega0); "
+            "the exchange-coupling model may not apply\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_finite_temperature_flag(self, tmp_path):
         import tlfsim as ts
         out = tmp_path / "s.csv"
@@ -478,17 +496,78 @@ CONTRACT_PROBES = [
 ]
 
 
-@pytest.mark.parametrize("argv", CONTRACT_PROBES, ids=" ".join)
-def test_input_contract(tmp_path, capsys, argv):
-    out = tmp_path / "x.csv"
-    rc = main(argv + ["--out", str(out)])
-    err = capsys.readouterr().err
+def check_contract(argv, out):
+    """Run ``main`` in-process and check the input contract on its exit code,
+    its CSV and its stderr, where every line is a warning or the error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as escaped, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = main(argv + ["--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3), (rc, lines)
+    assert not escaped, [str(w.message) for w in escaped]
+    assert all(line.startswith(("warning: ", "error: ", "numerical error: "))
+               for line in lines), lines
     if rc == 0:
         assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
     else:
-        prefix = {2: "error: ", 3: "numerical error: "}[rc]
-        assert err.splitlines()[-1].startswith(prefix)
-        assert not out.exists()
+        assert lines[-1].startswith({2: "error: ", 3: "numerical error: "}[rc])
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", CONTRACT_PROBES, ids=" ".join)
+def test_input_contract(tmp_path, argv):
+    check_contract(argv, tmp_path / "x.csv")
+
+
+# Tokens every key is fuzzed with besides its own bounds and default.
+_EDGE_TOKENS = ["nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "5e-324", "-5e-324",
+                "1e-300", "1e150", "abc"]
+
+
+def _flag(key):
+    return "--kt" if key == "kT" else "--" + re.sub("[A-Z]", lambda m: "-" + m[0].lower(), key)
+
+
+def _bound_tokens(parse, default):
+    """The default of a cli.SCHEMAS parser, its choices plus one unknown, or
+    each of its bounds with the nearest values just inside and just past it."""
+    nonlocals = inspect.getclosurevars(parse).nonlocals
+    if "options" in nonlocals:
+        return [*nonlocals["options"], "other"]
+    tokens = [] if default is None else [str(default)]
+    is_int = parse.__qualname__.startswith("_i.")
+    for bound, outward in ((nonlocals["lo"], -1), (nonlocals["hi"], 1)):
+        if bound is None:
+            continue
+        if is_int:
+            tokens += [str(bound - outward), str(bound), str(bound + outward)]
+        else:
+            tokens += [repr(float(np.nextafter(bound, -outward * np.inf))), repr(float(bound)),
+                       repr(float(np.nextafter(bound, outward * np.inf)))]
+    return tokens
+
+
+def _argv_strategy(kind):
+    """argv for one subcommand: any subset of its schema flags, each from its
+    bound tokens or _EDGE_TOKENS, a random method list and 2-17 points."""
+    flags = {_flag(key): st.sampled_from(_bound_tokens(parse, default) + _EDGE_TOKENS)
+             for key, (parse, default, _) in cli.SCHEMAS[kind].items()}
+    flags["--t-max"] = st.sampled_from([str(cli.DEFAULT_T_MAX.get(kind, 1.0))] + _EDGE_TOKENS)
+    return st.tuples(
+        st.fixed_dictionaries({}, optional=flags),
+        st.lists(st.sampled_from(list(cli.METHODS[kind])), min_size=1, unique=True),
+        st.integers(2, 17),
+    ).map(lambda drawn: [kind, *[tok for kv in drawn[0].items() for tok in kv],
+                         "--methods", ",".join(drawn[1]), "--n-points", str(drawn[2])])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(argv=st.sampled_from(cli.KINDS).flatmap(_argv_strategy))
+def test_input_contract_fuzz(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_contract(argv, os.path.join(tmp, "x.csv"))
 
 
 def test_exponent_form_negative_is_a_value(tmp_path):

@@ -73,6 +73,12 @@ class TestIntegrateReduced:
         with pytest.raises(InvalidInputError):
             ts.integrate_reduced(0.1, 0.01, 0.01, [0.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("t_grid", [5.0, np.linspace(0.0, 5.0, 6).reshape(2, 3)],
+                             ids=["scalar", "2-D"])
+    def test_non_1d_grid_rejected(self, t_grid):
+        with pytest.raises(InvalidInputError, match="1-D sorted"):
+            ts.integrate_reduced(0.1, 0.01, 0.005, t_grid)
+
     def test_overflow_is_numerical_error(self):
         with pytest.raises(NumericalError):
             ts.integrate_reduced(1e200, 1e200, 1e200, [0.0, 1.0])

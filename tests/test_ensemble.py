@@ -230,9 +230,12 @@ class TestMixtureKernel:
 
 
 def _shape_cases():
+    """Every public coherence function, at parameters inside its regime."""
     params = ts.JcParams(1.0, 1.01, 0.1)
+    resonant = ts.JcParams(1.0, 1.0, 0.01)
     ss = ts.ThermalContext.scale_separated()
     tlf = ts.TlfSpec(0.1, 0.01)
+    strong = ts.TlfSpec(0.1, 0.1)
     ens = uniform_ensemble(5, 0.005, ss, 3)
     stats = ts.EnsembleStats(mu=0.001, sigma2=0.004**2)
     broad = ts.EnsembleStats(mu=0.01, sigma2=0.03**2)
@@ -241,20 +244,34 @@ def _shape_cases():
         "ensemble": lambda t: ts.coherence_exact_ensemble(params, ens, t),
         "continuum": lambda t: ts.coherence_continuum(params, stats, t),
         "broad": lambda t: ts.coherence_broad_integral(0.01, broad, t),
+        "gr": lambda t: ts.coherence_gr(params, t),
+        "gr_short": lambda t: ts.coherence_gr_short_time(0.1, t),
+        "weak_envelope": lambda t: ts.coherence_weak_envelope(params, tlf, ss, t),
+        "strong_leading": lambda t: ts.coherence_strong_leading(resonant, strong, ss, t),
+        "strong_higher": lambda t: ts.coherence_strong_higher(resonant, strong, ss, t),
+        "narrow": lambda t: ts.coherence_narrow(params, stats, t),
+        "erfc": lambda t: ts.coherence_broad_erfc(0.01, broad, t),
+        "linear": lambda t: ts.coherence_broad_linear(0.01, broad, t),
+        "weak_damped": lambda t: ts.coherence_weak_damped(0.1, 0.01, 0.005, t),
+        "strong_damped": lambda t: ts.coherence_strong_damped(0.01, 0.1, 0.005, t),
     }
 
 
+SHAPE_CASES = list(_shape_cases())
+
+
+@pytest.mark.filterwarnings("error::tlfsim.RegimeWarning")
 class TestTimeShapes:
     """Scalar in, float out; any array in, the same shape out."""
 
-    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum", "broad"])
+    @pytest.mark.parametrize("name", SHAPE_CASES)
     def test_scalar(self, name):
         fn = _shape_cases()[name]
         val = fn(50.0)
         assert isinstance(val, float)
         assert val == fn(np.array([50.0]))[0]
 
-    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum", "broad"])
+    @pytest.mark.parametrize("name", SHAPE_CASES)
     @pytest.mark.parametrize("shape", [(12,), (3, 4), (2, 3, 2)])
     def test_array(self, name, shape):
         fn = _shape_cases()[name]
@@ -263,10 +280,16 @@ class TestTimeShapes:
         assert vals.shape == shape
         assert np.array_equal(vals.ravel(), fn(t))
 
-    @pytest.mark.parametrize("name", ["single", "ensemble", "continuum", "broad"])
+    @pytest.mark.parametrize("name", SHAPE_CASES)
     def test_empty(self, name):
         vals = _shape_cases()[name](np.array([]))
         assert vals.shape == (0,)
+
+    def test_t_by_keyword(self):
+        params = ts.JcParams(1.0, 1.01, 0.1)
+        t = np.linspace(0.0, 200.0, 12).reshape(3, 4)
+        assert np.array_equal(ts.coherence_gr(params=params, t=t), ts.coherence_gr(params, t))
+        assert ts.coherence_gr(params, t=50.0) == ts.coherence_gr(params, 50.0)
 
 
 class TestContinuum:

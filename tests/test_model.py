@@ -146,3 +146,25 @@ class TestShortTime:
             r1 = abs(ts.coherence_gr(params, 0.2) - ts.coherence_gr_short_time(0.1, 0.2))
             r2 = abs(ts.coherence_gr(params, 0.1) - ts.coherence_gr_short_time(0.1, 0.1))
             assert r1 / r2 >= 8.0
+
+
+
+_SS = ts.ThermalContext.scale_separated()
+_TLF = ts.TlfSpec(0.1, 0.01)
+
+
+# each call is outside its formula's regime, so it warns
+@pytest.mark.parametrize("warned", [
+    lambda: ts.coherence_weak_envelope(ts.JcParams(1.0, 1.0, 0.01), _TLF, _SS, 1.0),
+    lambda: ts.coherence_strong_leading(ts.JcParams(1.0, 1.0, 0.1), _TLF, _SS, 1.0),
+    lambda: ts.coherence_strong_higher(ts.JcParams(1.0, 1.0, 0.1), _TLF, _SS, 1.0),
+    lambda: ts.coherence_narrow(ts.JcParams(1.0, 1.0, 0.01), ts.EnsembleStats(0.0, 0.03**2), 1.0),
+    lambda: ts.coherence_broad_erfc(0.01, ts.EnsembleStats(0.1, 0.03**2), 1.0),
+    lambda: ts.coherence_weak_damped(0.01, 0.01, 0.005, 1.0),
+    lambda: ts.coherence_strong_damped(0.1, 0.05, 0.005, 1.0),
+], ids=["weak_envelope", "strong_leading", "strong_higher", "narrow", "broad_erfc",
+        "weak_damped", "strong_damped"])
+def test_regime_warning_names_caller(warned):
+    with pytest.warns(ts.RegimeWarning) as record:
+        warned()
+    assert record[0].filename == __file__
