@@ -125,7 +125,7 @@ SCHEMAS = {
         "n": (_i(lo=1, hi=2**20), 5, "number of fluctuators"),
         "sampler": (_choice("uniform", "spatial"), "uniform", "coupling sampler"),
         "halfWidth": (_f(lo=0, lo_open=True), 0.005, "uniform sampler half-width"),
-        "dim": (_i(lo=2), 2, "spatial sampler host dimension"),
+        "dim": (_i(lo=2, hi=3), 2, "spatial sampler host dimension"),
         "boxLo": (_f(lo=0, lo_open=True), 1.0, "spatial sampler box lower edge"),
         "boxHi": (_f(lo=0, lo_open=True), 10.0, "spatial sampler box upper edge"),
         "w": (_f(lo=0, lo_open=True), 1.0, "spatial sampler coupling scale"),
@@ -140,7 +140,7 @@ SCHEMAS = {
         "sigma": (_f(lo=1e-75, hi=1e75), 0.03, "inner-product standard deviation"),
     },
     "micro": {
-        "d": (_i(lo=2), 3, "host dimension"),
+        "d": (_i(lo=2, hi=3), 3, "host dimension"),
         "chi": (_f(lo=0, lo_open=True), 1.0, "phonon-rate prefactor"),
         "j0": (_f(lo=0, lo_open=True), 1.0, "dipolar coupling constant"),
         "r0": (_f(lo=0, lo_open=True), 1.0, "short-distance cutoff"),

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import InvalidInputError, NumericalError, RegimeWarning
-from .model import CoherenceTrace, _over_time, _time_grid, _uniform_block
+from .errors import InvalidInputError, NumericalError
+from .model import CoherenceTrace, _check_ratio, _over_time, _time_grid, _uniform_block
 
 __all__ = [
     "DampingRegime",
@@ -33,7 +32,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # classify_regime's boundaries: weak coupling once g >= 5|lam|; weak or strong
 # damping once gamma is a factor 5 below or above |lam|.
-_REGIME_RATIO = 5.0
+_CLASSIFY_RATIO = 5.0
 
 
 class DampingRegime(enum.Enum):
@@ -151,12 +150,7 @@ def coherence_weak_damped(g: float, lam: float, gamma: float, t):
     eta = sqrt(lam^2 - gamma^2), continued through critical damping at
     gamma = |lam|.
     """
-    if abs(lam) > 0 and g < 3.0 * abs(lam):
-        warnings.warn(
-            f"weak-coupling damped formula outside regime: g/|lam| = {g / abs(lam):.3g}",
-            RegimeWarning,
-            stacklevel=3,
-        )
+    _check_ratio("weak-coupling damped formula", "g/|lam|", g, abs(lam))
     gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, DampingRegime.WEAK_COUPLING)
     env = np.exp(-gamma_eff * t) * _damped_bracket(gamma_eff, kappa_sq, t)
     return np.abs(np.cos(g * t) * env)
@@ -173,12 +167,7 @@ def coherence_strong_damped(g: float, lam: float, gamma: float, t):
     """
     if lam == 0.0:
         raise InvalidInputError("strong-coupling formulas require lam != 0")
-    if abs(lam) < 3.0 * g:
-        warnings.warn(
-            f"strong-coupling damped formula outside regime: |lam|/g = {abs(lam) / g:.3g}",
-            RegimeWarning,
-            stacklevel=3,
-        )
+    _check_ratio("strong-coupling damped formula", "|lam|/g", abs(lam), g)
     regime = classify_regime(g, lam, gamma)
     if regime is DampingRegime.STRONG_INTERMEDIATE:
         return np.exp(-(g**2) * gamma * t / (2.0 * lam**2))
@@ -208,15 +197,15 @@ def slow_root_cubic(g: float, lam: float, gamma: float) -> float:
 
 
 def classify_regime(g: float, lam: float, gamma: float) -> DampingRegime:
-    """Map (g, |lam|, gamma) to a damping regime at the fixed ratio _REGIME_RATIO."""
+    """Map (g, |lam|, gamma) to a damping regime at the fixed ratio _CLASSIFY_RATIO."""
     if g < 0 or gamma < 0:
         raise InvalidInputError("rates must be nonnegative")
     al = abs(lam)
-    if g >= _REGIME_RATIO * al:
+    if g >= _CLASSIFY_RATIO * al:
         return DampingRegime.WEAK_COUPLING
-    if gamma <= al / _REGIME_RATIO:
+    if gamma <= al / _CLASSIFY_RATIO:
         return DampingRegime.STRONG_WEAK_DAMP
-    if gamma >= _REGIME_RATIO * al:
+    if gamma >= _CLASSIFY_RATIO * al:
         return DampingRegime.STRONG_STRONG_DAMP
     return DampingRegime.STRONG_INTERMEDIATE
 

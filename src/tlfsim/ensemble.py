@@ -15,7 +15,6 @@ reference scenarios.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,16 +26,17 @@ from .errors import (
     DegenerateEigensystemError,
     InvalidInputError,
     NumericalError,
-    RegimeWarning,
 )
 from .model import (
     JcParams,
     ThermalContext,
     thermal_population,
+    _check_ratio,
     _exp_sum,
     _mixture_coherence,
     _over_time,
     _rabi_envelope,
+    _warn,
 )
 from .single_fluctuator import TlfSpec
 
@@ -88,6 +88,12 @@ class EnsembleStats:
     mu: float
     sigma2: float
     r: float = math.nan
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.mu):
+            raise InvalidInputError(f"mu must be finite, got {self.mu!r}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise InvalidInputError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
 
     @property
     def sigma(self) -> float:
@@ -254,12 +260,7 @@ def coherence_narrow(params: JcParams, stats: EnsembleStats, t):
     C_GR evaluated with the detuning shifted by 2*mu, multiplied by
     exp(-sigma^2 t^2 / 2).  Intended for g >> sigma and t << g / sigma^2.
     """
-    if stats.sigma2 > 0 and params.g < 3.0 * stats.sigma:
-        warnings.warn(
-            f"narrow-ensemble law outside regime: g/sigma = {params.g / stats.sigma:.3g}",
-            RegimeWarning,
-            stacklevel=3,
-        )
+    _check_ratio("narrow-ensemble law", "g/sigma", params.g, stats.sigma)
     delta_mu = params.delta + 2.0 * stats.mu
     omega_mu = math.hypot(2.0 * params.g, delta_mu)
     if omega_mu == 0.0:
@@ -351,11 +352,7 @@ def coherence_broad_erfc(g: float, stats: EnsembleStats, t):
     if stats.sigma2 <= 0:
         raise InvalidInputError("coherence_broad_erfc requires sigma2 > 0")
     if abs(stats.mu) > stats.sigma:
-        warnings.warn(
-            f"erfc law unreliable for |mu|/sigma = {abs(stats.mu) / stats.sigma:.3g} > 1",
-            RegimeWarning,
-            stacklevel=3,
-        )
+        _warn(f"erfc law unreliable for |mu|/sigma = {abs(stats.mu) / stats.sigma:.3g} > 1")
     x = g**2 * t / (2.0 * stats.sigma)
     shift = stats.mu / (math.sqrt(2.0) * stats.sigma)
     return 0.5 * (erfc(x + shift) + erfc(x - shift))

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEigensystemError, InvalidInputError
+from .errors import DegenerateEigensystemError, InvalidInputError, RegimeWarning
 
 __all__ = [
     "JcParams",
@@ -26,6 +27,26 @@ __all__ = [
     "coherence_gr",
     "coherence_gr_short_time",
 ]
+
+
+# Ratio below which an approximate law's regime precondition triggers a
+# RegimeWarning.  The reference comparisons deliberately go outside strict
+# validity (ratios down to ~3), so the warnings are advisory, never errors.
+_ADVISORY_RATIO = 3.0
+
+
+def _warn(message: str, category: type[Warning] = RegimeWarning) -> None:
+    """Warn, naming the first caller outside the tlfsim package as the location."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+def _check_ratio(what: str, name: str, large: float, small: float) -> None:
+    """Warn that `what` is outside its regime unless large >= _ADVISORY_RATIO * small."""
+    if small > 0 and large < _ADVISORY_RATIO * small:
+        _warn(f"{what} outside regime: {name} = {large / small:.3g}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +79,8 @@ class JcParams:
         if self.g < 0:
             raise InvalidInputError(f"g must be nonnegative, got {self.g}")
         if not self.is_weakly_coupled:
-            warnings.warn(
-                f"g = {self.g} is not small compared to min(epsilon_t, omega0); "
-                "the exchange-coupling model may not apply",
-                stacklevel=3,  # past the dataclass __init__, to its caller
-            )
+            _warn(f"g = {self.g} is not small compared to min(epsilon_t, omega0); "
+                  "the exchange-coupling model may not apply", UserWarning)
 
     @property
     def delta(self) -> float:
@@ -85,14 +103,16 @@ class ThermalContext:
 
     kt: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kt is not None and not (math.isfinite(self.kt) and self.kt > 0):
+            raise InvalidInputError(f"kt must be positive and finite, got {self.kt!r}")
+
     @classmethod
     def scale_separated(cls) -> "ThermalContext":
         return cls(kt=None)
 
     @classmethod
     def finite_temperature(cls, kt: float) -> "ThermalContext":
-        if not (math.isfinite(kt) and kt > 0):
-            raise InvalidInputError(f"kt must be positive and finite, got {kt!r}")
         return cls(kt=kt)
 
     def tanh_factor(self, epsilon: float) -> float:

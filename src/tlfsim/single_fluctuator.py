@@ -9,20 +9,21 @@ captures the residual fast ripple.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, RegimeWarning
+from .errors import InvalidInputError
 from .model import (
     JcParams,
     ThermalContext,
     coherence_gr,
     thermal_population,
+    _check_ratio,
     _mixture_coherence,
     _over_time,
     _rabi_envelope,
+    _warn,
 )
 
 __all__ = [
@@ -32,11 +33,6 @@ __all__ = [
     "coherence_strong_leading",
     "coherence_strong_higher",
 ]
-
-# Ratio below which a regime precondition triggers a warning. The reference
-# comparisons deliberately go outside strict validity (ratios down to ~3), so
-# warnings are advisory, never errors.
-_REGIME_RATIO = 3.0
 
 
 @dataclass(frozen=True)
@@ -80,18 +76,9 @@ def coherence_weak_envelope(params: JcParams, tlf: TlfSpec, ctx: ThermalContext,
     a warning is emitted and the formula is still evaluated.
     """
     lam = abs(tlf.lam)
-    if lam > 0 and params.g < _REGIME_RATIO * lam:
-        warnings.warn(
-            f"weak-coupling envelope outside regime: g/|lam| = {params.g / lam:.3g}",
-            RegimeWarning,
-            stacklevel=3,
-        )
+    _check_ratio("weak-coupling envelope", "g/|lam|", params.g, lam)
     if lam > 0 and abs(params.delta) * lam >= 4.0 * params.g**2:
-        warnings.warn(
-            "weak-coupling envelope requires |delta| << 4 g^2 / |lam|",
-            RegimeWarning,
-            stacklevel=3,
-        )
+        _warn("weak-coupling envelope requires |delta| << 4 g^2 / |lam|")
     th = ctx.tanh_factor(tlf.epsilon)
     return coherence_gr(params, t) * _rabi_envelope(tlf.lam * t, th)
 
@@ -101,19 +88,10 @@ def _check_strong_regime(params: JcParams, tlf: TlfSpec) -> None:
         raise InvalidInputError(
             "strong-coupling formulas divide by lam; lam = 0 is outside the regime"
         )
-    if abs(tlf.lam) < _REGIME_RATIO * params.g:
-        warnings.warn(
-            f"strong-coupling formula outside regime: |lam|/g = {abs(tlf.lam) / params.g:.3g}",
-            RegimeWarning,
-            stacklevel=4,
-        )
+    _check_ratio("strong-coupling formula", "|lam|/g", abs(tlf.lam), params.g)
     if params.delta != 0.0:
-        warnings.warn(
-            "strong-coupling formulas assume delta = 0; "
-            "use coherence_exact_single for detuned systems",
-            RegimeWarning,
-            stacklevel=4,
-        )
+        _warn("strong-coupling formulas assume delta = 0; "
+              "use coherence_exact_single for detuned systems")
 
 
 @_over_time

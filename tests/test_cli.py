@@ -269,6 +269,15 @@ class TestValidation:
             assert err.startswith("error: tGrid.tMax: micro scans kT") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, needle", [
+        ("kind = ensemble\nsampler = spatial\ndim = 4\n", "dim: must be <= 3 (got '4')"),
+        ("kind = micro\nd = 7\n", "d: must be <= 3 (got '7')")], ids=["dim", "d"])
+    def test_host_dimension_bounded(self, tmp_path, capsys, config, needle):
+        cfg = tmp_path / "dim.conf"
+        cfg.write_text(config)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {needle}\n"
+
     def test_fluctuator_count_bounded(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["ensemble", "--n", "1048577", "--n-points", "5", "--out", str(out)]) == 2

@@ -59,6 +59,12 @@ class TestEnsembleStats:
         with pytest.raises(InvalidInputError):
             ts.ensemble_stats(ts.TlfEnsemble([], ss))
 
+    @pytest.mark.parametrize("mu, sigma2", [(math.nan, 1e-4), (math.inf, 1e-4), (0.0, -1.0),
+                                            (0.0, math.nan), (0.0, math.inf)])
+    def test_invalid_statistics_rejected(self, mu, sigma2):
+        with pytest.raises(InvalidInputError):
+            ts.EnsembleStats(mu, sigma2)
+
 
 class TestExactEnsemble:
     def test_initial_value(self, ss):

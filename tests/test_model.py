@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tlfsim as ts
+import tlfsim.cli as cli
 from tlfsim.errors import InvalidInputError
 
 
@@ -35,6 +36,10 @@ class TestThermalContext:
             ts.ThermalContext.finite_temperature(0.0)
         with pytest.raises(InvalidInputError):
             ts.ThermalContext.finite_temperature(float("nan"))
+        # the constructor itself refuses what finite_temperature refuses
+        for kt in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="kt must be positive and finite"):
+                ts.ThermalContext(kt=kt)
 
 
 class TestJcParams:
@@ -153,18 +158,38 @@ _SS = ts.ThermalContext.scale_separated()
 _TLF = ts.TlfSpec(0.1, 0.01)
 
 
-# each call is outside its formula's regime, so it warns
-@pytest.mark.parametrize("warned", [
-    lambda: ts.coherence_weak_envelope(ts.JcParams(1.0, 1.0, 0.01), _TLF, _SS, 1.0),
-    lambda: ts.coherence_strong_leading(ts.JcParams(1.0, 1.0, 0.1), _TLF, _SS, 1.0),
-    lambda: ts.coherence_strong_higher(ts.JcParams(1.0, 1.0, 0.1), _TLF, _SS, 1.0),
-    lambda: ts.coherence_narrow(ts.JcParams(1.0, 1.0, 0.01), ts.EnsembleStats(0.0, 0.03**2), 1.0),
-    lambda: ts.coherence_broad_erfc(0.01, ts.EnsembleStats(0.1, 0.03**2), 1.0),
-    lambda: ts.coherence_weak_damped(0.01, 0.01, 0.005, 1.0),
-    lambda: ts.coherence_strong_damped(0.1, 0.05, 0.005, 1.0),
+# each call is outside its formula's regime, so it warns with exactly this text
+@pytest.mark.parametrize("warned, message", [
+    (lambda: ts.coherence_weak_envelope(ts.JcParams(1.0, 1.0, 0.01), _TLF, _SS, 1.0),
+     "weak-coupling envelope outside regime: g/|lam| = 1"),
+    (lambda: ts.coherence_strong_leading(ts.JcParams(1.0, 1.0, 0.1), _TLF, _SS, 1.0),
+     "strong-coupling formula outside regime: |lam|/g = 0.1"),
+    (lambda: ts.coherence_strong_higher(ts.JcParams(1.0, 1.0, 0.1), _TLF, _SS, 1.0),
+     "strong-coupling formula outside regime: |lam|/g = 0.1"),
+    (lambda: ts.coherence_narrow(ts.JcParams(1.0, 1.0, 0.01),
+                                 ts.EnsembleStats(0.0, 0.03**2), 1.0),
+     "narrow-ensemble law outside regime: g/sigma = 0.333"),
+    (lambda: ts.coherence_broad_erfc(0.01, ts.EnsembleStats(0.1, 0.03**2), 1.0),
+     "erfc law unreliable for |mu|/sigma = 3.33 > 1"),
+    (lambda: ts.coherence_weak_damped(0.01, 0.01, 0.005, 1.0),
+     "weak-coupling damped formula outside regime: g/|lam| = 1"),
+    (lambda: ts.coherence_strong_damped(0.1, 0.05, 0.005, 1.0),
+     "strong-coupling damped formula outside regime: |lam|/g = 0.5"),
+    (lambda: ts.coherence_weak_envelope(ts.JcParams(1.0, 1.5, 0.01),
+                                        ts.TlfSpec(0.1, 0.001), _SS, 1.0),
+     "weak-coupling envelope requires |delta| << 4 g^2 / |lam|"),
+    (lambda: ts.coherence_strong_leading(ts.JcParams(1.0, 1.01, 0.001), _TLF, _SS, 1.0),
+     "strong-coupling formulas assume delta = 0; "
+     "use coherence_exact_single for detuned systems"),
+    # a tlfsim frame (the registry's lambda) between this file and the kernel
+    (lambda: cli.METHODS["single-tlf"]["strong_leading"](
+        {"jc": ts.JcParams(1.0, 1.0, 0.1), "tlf": _TLF, "ctx": _SS}, 1.0),
+     "strong-coupling formula outside regime: |lam|/g = 0.1"),
 ], ids=["weak_envelope", "strong_leading", "strong_higher", "narrow", "broad_erfc",
-        "weak_damped", "strong_damped"])
-def test_regime_warning_names_caller(warned):
+        "weak_damped", "strong_damped", "weak_envelope_detuned", "strong_detuned",
+        "cli_registry"])
+def test_regime_warning_names_caller(warned, message):
     with pytest.warns(ts.RegimeWarning) as record:
         warned()
+    assert [str(w.message) for w in record] == [message]
     assert record[0].filename == __file__
