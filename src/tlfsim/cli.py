@@ -467,12 +467,18 @@ def _preset_params(kind: str, params: dict) -> dict:
 
 
 def _reporting_warnings(label: str, fn, *args):
-    """fn(*args); each warning it raises past the caller's filters is one stderr line."""
+    """fn(*args); each warning it raises past the caller's filters is one stderr
+    line, and an error it raises is re-raised with ``label`` in its message."""
     with warnings.catch_warnings(record=True) as caught:
-        result = fn(*args)
-    for w in caught:
-        print(f"warning: {label}: {w.message}", file=sys.stderr)
-    return result
+        try:
+            return fn(*args)
+        except TlfsimError as exc:
+            raise type(exc)(f"{label}: {exc}") from exc
+        except ArithmeticError as exc:
+            raise NumericalError(f"{label}: {exc.args[-1]}") from exc
+        finally:
+            for w in caught:
+                print(f"warning: {label}: {w.message}", file=sys.stderr)
 
 
 def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndarray]], dict]:

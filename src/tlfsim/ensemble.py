@@ -91,9 +91,9 @@ class EnsembleStats:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
-            raise InvalidInputError(f"mu must be finite, got {self.mu!r}")
+            raise InvalidInputError(f"mu must be finite, got {float(self.mu)!r}")
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise InvalidInputError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
+            raise InvalidInputError(f"sigma2 must be finite and >= 0, got {float(self.sigma2)!r}")
 
     @property
     def sigma(self) -> float:

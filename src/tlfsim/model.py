@@ -71,7 +71,7 @@ class JcParams:
         for name in ("omega0", "epsilon_t", "g"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value!r}")
+                raise InvalidInputError(f"{name} must be finite, got {float(value)!r}")
         if self.omega0 <= 0:
             raise InvalidInputError(f"omega0 must be positive, got {self.omega0}")
         if self.epsilon_t <= 0:
@@ -105,7 +105,7 @@ class ThermalContext:
 
     def __post_init__(self) -> None:
         if self.kt is not None and not (math.isfinite(self.kt) and self.kt > 0):
-            raise InvalidInputError(f"kt must be positive and finite, got {self.kt!r}")
+            raise InvalidInputError(f"kt must be positive and finite, got {float(self.kt)!r}")
 
     @classmethod
     def scale_separated(cls) -> "ThermalContext":
@@ -118,7 +118,7 @@ class ThermalContext:
     def tanh_factor(self, epsilon: float) -> float:
         """tanh(epsilon / 2 kT); zero in the scale-separated limit."""
         if not math.isfinite(epsilon) or epsilon < 0:
-            raise InvalidInputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+            raise InvalidInputError(f"epsilon must be finite and >= 0, got {float(epsilon)!r}")
         if self.kt is None:
             return 0.0
         # math.tanh saturates to +/-1 without overflow for large arguments

@@ -245,11 +245,11 @@ def evolve_lindblad(
     """Propagate the local Lindblad equation for a single dissipative fluctuator.
 
     Equal upward and downward fluctuator rates gamma (scale-separated regime).
-    In the frame of the free Hamiltonian (which leaves the dissipator invariant)
-    the superoperator L is constant, so the state is carried exactly from grid
-    point to grid point, y_k = expm((t_k - t_{k-1}) L) y_{k-1} from t = 0, and
-    rotated back to the lab frame at each point.  One step matrix serves every
-    interval of an equispaced grid and every repeat of an interval elsewhere.
+    H and the jump operators sqrt(gamma) tau_-, sqrt(gamma) tau_+ are constant,
+    so the lab-frame superoperator L is constant at any detuning and splitting,
+    and the state is carried exactly from grid point to grid point,
+    y_k = expm((t_k - t_{k-1}) L) y_{k-1} from t = 0.  One step matrix serves
+    every interval of an equispaced grid and every repeat of an interval elsewhere.
     Chained step matrices are used instead of diagonalizing L, whose
     eigenvectors are ill-conditioned near exceptional points.
     """
@@ -261,20 +261,10 @@ def evolve_lindblad(
     spec = HilbertSpec(n_osc=rho0.dims[0], n_tlf=1)
     h = build_hamiltonian(params, [tlf], spec)
 
-    # Free (diagonal) part generating the fast phases; the exchange term and
-    # the sigma_z tau_z coupling commute with its flow, so H - H0 is static in
-    # the rotating frame.
-    a = annihilation(spec.n_osc)
-    h0 = params.omega0 * (
-        _site_operator(spec, 0, a.T @ a) + 0.5 * _site_operator(spec, 1, _SIGMA_Z)
-    ) + (tlf.epsilon / 2.0) * _site_operator(spec, 2, _SIGMA_Z)
-    h_rot = h - h0
-    e0 = np.diag(h0).real
-
     sqrt_g = math.sqrt(gamma)
     tau_m = _site_operator(spec, 2, _SIGMA_MINUS)
     tau_p = _site_operator(spec, 2, _SIGMA_PLUS)
-    sup = _lindblad_superoperator(h_rot, [sqrt_g * tau_m, sqrt_g * tau_p])
+    sup = _lindblad_superoperator(h, [sqrt_g * tau_m, sqrt_g * tau_p])
 
     steps = np.diff(t_arr, prepend=0.0)
     _, h_step = _uniform_block(t_arr)
@@ -282,7 +272,7 @@ def evolve_lindblad(
         steps[1:] = h_step
     step_matrices: dict[float, np.ndarray] = {}
     d = spec.dim
-    # Row k holds the column-stacked vec(rho_rot(t_k)), i.e. rho_rot(t_k)^T.
+    # Row k holds the column-stacked vec(rho(t_k)), i.e. rho(t_k)^T.
     ys = np.empty((t_arr.size, d * d), dtype=complex)
     y = rho0.rho.flatten(order="F")
     for k, dt in enumerate(steps):
@@ -292,13 +282,7 @@ def evolve_lindblad(
         ys[k] = y
     if not np.all(np.isfinite(ys)):
         raise NumericalError("Lindblad propagation produced non-finite values")
-    out: list[DenseState] = []
-    for i in range(0, t_arr.size, _CHUNK):
-        phases = np.exp(-1j * np.multiply.outer(t_arr[i : i + _CHUNK], e0))
-        rho_rot = ys[i : i + _CHUNK].reshape(-1, d, d).transpose(0, 2, 1)
-        rho_lab = phases[:, :, None] * rho_rot * phases.conj()[:, None, :]
-        out += _dense_states(rho_lab, rho0.dims)
-    return out
+    return _dense_states(ys.reshape(-1, d, d).transpose(0, 2, 1), rho0.dims)
 
 
 def expect_a(state: DenseState) -> complex:

@@ -48,9 +48,9 @@ class TlfSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise InvalidInputError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+            raise InvalidInputError(f"epsilon must be finite and >= 0, got {float(self.epsilon)!r}")
         if not math.isfinite(self.lam):
-            raise InvalidInputError(f"lam must be finite, got {self.lam!r}")
+            raise InvalidInputError(f"lam must be finite, got {float(self.lam)!r}")
 
 
 @_over_time

@@ -504,6 +504,39 @@ CONTRACT_PROBES = [
     ["dissipative", "--gamma", "9e307", "--n-points", "5"],
 ]
 
+# Runs whose error is raised inside a setup or a column, with their stderr
+# lines: the error names its stage, after the warnings that stage raised.
+LABELLED_ERRORS = {
+    "continuum --g 1e300 --n-points 3 --methods erfc": (3, [
+        "warning: continuum setup: g = 1e+300 is not small compared to min(epsilon_t, "
+        "omega0); the exchange-coupling model may not apply",
+        "numerical error: erfc: Numerical result out of range"]),
+    "single-tlf --g 1e300 --n-points 3 --methods strong_higher": (3, [
+        "warning: single-tlf setup: g = 1e+300 is not small compared to min(epsilon_t, "
+        "omega0); the exchange-coupling model may not apply",
+        "warning: strong_higher: strong-coupling formula outside regime: |lam|/g = 1e-302",
+        "numerical error: strong_higher: Numerical result out of range"]),
+    "single-tlf --lambda 1e-300 --n-points 3 --methods strong_higher": (3, [
+        "warning: strong_higher: strong-coupling formula outside regime: |lam|/g = 1e-299",
+        "numerical error: strong_higher: float division by zero"]),
+    "micro --j0 1e300 --n-points 2": (3, [
+        "numerical error: micro setup: Numerical result out of range"]),
+    "ensemble --half-width 1e200 --n-points 3": (2, [
+        "error: ensemble setup: sigma2 must be finite and >= 0, got inf"]),
+    "ensemble --sampler spatial --box-lo 1e-200 --box-hi 2e-200 --n-points 3": (2, [
+        "error: ensemble setup: lam must be finite, got -inf"]),
+}
+CONTRACT_PROBES += [argv.split() for argv in LABELLED_ERRORS]
+
+
+def _stage_labels(argv):
+    """The labels a run's stderr lines may name: its columns and its setups."""
+    if argv[0] == "figure":
+        fig = cli.FIGURES[int(argv[1])]
+        return ({name for name, _, _ in fig.columns}
+                | {f"{kind} setup" for kind, _, _ in fig.scenarios})
+    return set(cli.METHODS[argv[0]]) | {f"{argv[0]} setup"}
+
 
 def check_contract(argv, out):
     """Run ``main`` in-process and check the input contract on its exit code,
@@ -523,11 +556,21 @@ def check_contract(argv, out):
     else:
         assert lines[-1].startswith({2: "error: ", 3: "numerical error: "}[rc])
         assert not os.path.exists(out)
+    if rc == 3:
+        # every numerical error names the column or the setup it came from
+        m = re.match(r"numerical error: (?:column (\S+) is not finite |([^:]+): )", lines[-1])
+        assert m and (m[1] or m[2]) in _stage_labels(argv), lines
+    return rc, lines
 
 
 @pytest.mark.parametrize("argv", CONTRACT_PROBES, ids=" ".join)
 def test_input_contract(tmp_path, argv):
     check_contract(argv, tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("argv", LABELLED_ERRORS)
+def test_error_names_its_stage(tmp_path, argv):
+    assert check_contract(argv.split(), tmp_path / "x.csv") == LABELLED_ERRORS[argv]
 
 
 # Tokens every key is fuzzed with besides its own bounds and default.

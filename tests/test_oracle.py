@@ -222,6 +222,22 @@ class TestLindbladReference:
         t = np.concatenate([[0.0], np.geomspace(1e-2, 500.0, 99)])
         self.check(params, tlf, 0.02, rho0, t)
 
+    @pytest.mark.parametrize("omega0, epsilon_t, g, eps, lam, gamma, n_osc, kt", [
+        (1.0, 1.02, 0.1, 0.3, 0.01, 0.02, 2, 0.07),
+        (1.0, 0.97, 0.05, 0.1, 0.05, 0.05, 3, None),
+        (1.0, 1.0, 0.1, 0.1, 0.01, 0.02, 3, 0.07),
+    ])
+    def test_matches_adaptive_solve_off_resonance(self, omega0, epsilon_t, g, eps, lam,
+                                                  gamma, n_osc, kt):
+        # detuned, at finite temperature or with a third oscillator level: the
+        # oracle's lab-frame propagation against the references' rotating frame
+        params = ts.JcParams(omega0, epsilon_t, g)
+        tlf = ts.TlfSpec(eps, lam)
+        ctx = ts.ThermalContext(kt=kt)
+        rho0 = ts.initial_state(SQ2, SQ2, [tlf], ctx, ts.HilbertSpec(n_osc=n_osc, n_tlf=1))
+        t = np.linspace(0.0, 10.0 / gamma, 400)
+        self.check(params, tlf, gamma, rho0, t)
+
     def test_one_step_matrix_per_distinct_interval(self, ss, monkeypatch):
         calls = []
         scipy_expm = oracle.expm
