@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import sys
 import warnings
@@ -42,7 +41,7 @@ from .ensemble import (
 )
 from .errors import InvalidInputError, NumericalError, TlfsimError
 from .microscopic import MaterialParams, average_variance_mc
-from .model import JcParams, ThermalContext, coherence_gr, coherence_gr_short_time
+from .model import JcParams, ThermalContext, _out_of_domain, coherence_gr, coherence_gr_short_time
 from .single_fluctuator import (
     TlfSpec,
     coherence_exact_single,
@@ -66,12 +65,8 @@ def _f(lo=None, hi=None, lo_open=False):
             x = float(s)
         except ValueError:
             raise ValueError("must be a number") from None
-        if not math.isfinite(x):
-            raise ValueError("must be finite")
-        if lo is not None and (x <= lo if lo_open else x < lo):
-            raise ValueError(f"must be {'>' if lo_open else '>='} {lo}")
-        if hi is not None and x > hi:
-            raise ValueError(f"must be <= {hi}")
+        if reason := _out_of_domain(x, lo, hi, lo_open):
+            raise ValueError(reason)
         return x
     return parse
 
@@ -82,10 +77,8 @@ def _i(lo=None, hi=None):
             x = int(s)
         except ValueError:
             raise ValueError("must be an integer") from None
-        if lo is not None and x < lo:
-            raise ValueError(f"must be >= {lo}")
-        if hi is not None and x > hi:
-            raise ValueError(f"must be <= {hi}")
+        if reason := _out_of_domain(x, lo, hi):
+            raise ValueError(reason)
         return x
     return parse
 
@@ -124,7 +117,8 @@ SCHEMAS = {
         "delta": (_f(), 0.0, "TLS-oscillator detuning"),
         "n": (_i(lo=1, hi=2**20), 5, "number of fluctuators"),
         "sampler": (_choice("uniform", "spatial"), "uniform", "coupling sampler"),
-        "halfWidth": (_f(lo=0, lo_open=True), 0.005, "uniform sampler half-width"),
+        # bounded so that sigma^2 stays finite for every n <= 2^20
+        "halfWidth": (_f(lo=0, hi=1e150, lo_open=True), 0.005, "uniform sampler half-width"),
         "dim": (_i(lo=2, hi=3), 2, "spatial sampler host dimension"),
         "boxLo": (_f(lo=0, lo_open=True), 1.0, "spatial sampler box lower edge"),
         "boxHi": (_f(lo=0, lo_open=True), 10.0, "spatial sampler box upper edge"),
@@ -301,8 +295,9 @@ def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple
                                             p["w"], p["g"], rng)
         s["ens"] = TlfEnsemble(tlfs, s["ctx"])
         stats = s["stats"] = ensemble_stats(s["ens"])
+        # float(): a numpy scalar formats slower than the float it holds (2^20 of them)
         resolved.update({"mu": stats.mu, "sigma": stats.sigma, "R": stats.r,
-                         "couplings": ",".join(f"{tlf.lam:.17g}" for tlf in tlfs)})
+                         "couplings": ",".join(f"{float(tlf.lam):.17g}" for tlf in tlfs)})
     elif kind == "continuum":
         s["stats"] = EnsembleStats(mu=p["mu"], sigma2=p["sigma"] ** 2)
     elif kind == "micro":

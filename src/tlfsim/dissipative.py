@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidInputError, NumericalError
-from .model import CoherenceTrace, _check_ratio, _over_time, _time_grid, _uniform_block
+from .model import CoherenceTrace, _check_ratio, _over_time, _require, _time_grid, _uniform_block
 
 __all__ = [
     "DampingRegime",
@@ -46,6 +46,13 @@ class DampingCharacter(enum.Enum):
     UNDERDAMPED = "underdamped"
     OVERDAMPED = "overdamped"
     CRITICAL = "critical"
+
+
+def _rates(g: float, lam: float, gamma: float, lo_open: bool = False) -> None:
+    """The rates' domain: all finite, g and gamma >= 0 (> 0 with lo_open)."""
+    _require("g", g, lo=0, lo_open=lo_open)
+    _require("lam", lam)
+    _require("gamma", gamma, lo=0, lo_open=lo_open)
 
 
 def _rhs_matrix(g: float, lam: float, gamma: float) -> np.ndarray:
@@ -80,6 +87,7 @@ def integrate_reduced(g: float, lam: float, gamma: float, t_grid) -> CoherenceTr
     |0>+|1> initial state at zero detuning, so this agrees with the dense
     Lindblad evolution to that evolution's own accuracy.
     """
+    _rates(g, lam, gamma)
     t_arr = _time_grid(t_grid)
     m = _rhs_matrix(g, lam, gamma)
     where = f"g = {g:g}, lambda = {lam:g}, gamma = {gamma:g}"
@@ -150,6 +158,7 @@ def coherence_weak_damped(g: float, lam: float, gamma: float, t):
     eta = sqrt(lam^2 - gamma^2), continued through critical damping at
     gamma = |lam|.
     """
+    _rates(g, lam, gamma)
     _check_ratio("weak-coupling damped formula", "g/|lam|", g, abs(lam))
     gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, DampingRegime.WEAK_COUPLING)
     env = np.exp(-gamma_eff * t) * _damped_bracket(gamma_eff, kappa_sq, t)
@@ -187,8 +196,9 @@ def slow_root_cubic(g: float, lam: float, gamma: float) -> float:
     g << gamma, lam it approaches -g^2 gamma / 2 lam^2.  The full cubic is
     solved, not the quadratic shortcut.
     """
-    if g <= 0 or lam == 0.0 or gamma <= 0:
-        raise InvalidInputError("slow_root_cubic requires g, |lam|, gamma > 0")
+    _rates(g, lam, gamma, lo_open=True)
+    if lam == 0.0:
+        raise InvalidInputError("slow_root_cubic requires lam != 0")
     roots = np.roots([1.0, 2.0 * gamma, g**2 + 4.0 * lam**2, 2.0 * gamma * g**2])
     scale = max(gamma, abs(lam), g)
     real_roots = [r.real for r in roots if abs(r.imag) < 1e-9 * scale]
@@ -198,8 +208,7 @@ def slow_root_cubic(g: float, lam: float, gamma: float) -> float:
 
 def classify_regime(g: float, lam: float, gamma: float) -> DampingRegime:
     """Map (g, |lam|, gamma) to a damping regime at the fixed ratio _CLASSIFY_RATIO."""
-    if g < 0 or gamma < 0:
-        raise InvalidInputError("rates must be nonnegative")
+    _rates(g, lam, gamma)
     al = abs(lam)
     if g >= _CLASSIFY_RATIO * al:
         return DampingRegime.WEAK_COUPLING

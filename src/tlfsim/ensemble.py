@@ -36,6 +36,7 @@ from .model import (
     _mixture_coherence,
     _over_time,
     _rabi_envelope,
+    _require,
     _warn,
 )
 from .single_fluctuator import TlfSpec
@@ -90,10 +91,8 @@ class EnsembleStats:
     r: float = math.nan
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise InvalidInputError(f"mu must be finite, got {float(self.mu)!r}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise InvalidInputError(f"sigma2 must be finite and >= 0, got {float(self.sigma2)!r}")
+        _require("mu", self.mu)
+        _require("sigma2", self.sigma2, lo=0)
 
     @property
     def sigma(self) -> float:
@@ -106,12 +105,10 @@ class EnsembleStats:
 
 def ensemble_stats(ens: TlfEnsemble) -> EnsembleStats:
     """Exact thermally weighted statistics of the ensemble's inner product."""
-    if ens.n < 1:
-        raise InvalidInputError("ensemble_stats requires at least one fluctuator")
-    per_tlf = np.array(
-        [tlf.lam**2 * ens.ctx.sech2_factor(tlf.epsilon) for tlf in ens.tlfs]
-    )
-    mu = sum(tlf.lam * ens.ctx.tanh_factor(tlf.epsilon) for tlf in ens.tlfs)
+    _require("n", ens.n, lo=1)
+    th = [ens.ctx.tanh_factor(tlf.epsilon) for tlf in ens.tlfs]  # sech^2 is 1 - th^2
+    per_tlf = np.array([tlf.lam**2 * (1.0 - t**2) for tlf, t in zip(ens.tlfs, th)])
+    mu = sum(tlf.lam * t for tlf, t in zip(ens.tlfs, th))
     sigma2 = float(per_tlf.sum())
     r = float(per_tlf.max() / sigma2) if sigma2 > 0 else math.nan
     return EnsembleStats(mu=mu, sigma2=sigma2, r=r)
@@ -236,8 +233,7 @@ def coherence_continuum(params: JcParams, stats: EnsembleStats, t):
     exceed the work budget (see _check_budget), and NumericalError when the
     two orders disagree.
     """
-    if stats.sigma2 <= 0:
-        raise InvalidInputError("coherence_continuum requires sigma2 > 0")
+    _require("sigma2", stats.sigma2, lo=0, lo_open=True)
     lo, hi = stats.mu - 8.0 * stats.sigma, stats.mu + 8.0 * stats.sigma
     # phase slope of exp(-i Lam t) exp(+/- i Omega(Lam) t / 2) is at most 2t
     panels = oscillation_panels(lo, hi, 2.0 * float(np.max(t, initial=0.0)))
@@ -308,8 +304,8 @@ def coherence_broad_integral(g: float, stats: EnsembleStats, t):
     exceed the work budget (see _check_budget), and NumericalError when the
     two orders disagree.
     """
-    if stats.sigma2 <= 0:
-        raise InvalidInputError("coherence_broad_integral requires sigma2 > 0")
+    _require("g", g)
+    _require("sigma2", stats.sigma2, lo=0, lo_open=True)
     phi = g**2 * t / 2.0
     # |C - 1| <= int N min(2, phi/|Lam|) dLam = O(sqrt(phi/sigma)), so for
     # phases this small the integral is 1 to far below every tolerance;
@@ -349,8 +345,8 @@ def coherence_broad_erfc(g: float, stats: EnsembleStats, t):
     reduces to erfc(g^2 t / 2 sigma) for mu << sigma.  Fails for mu >> sigma
     (the fast-oscillating region leaves the distribution's support).
     """
-    if stats.sigma2 <= 0:
-        raise InvalidInputError("coherence_broad_erfc requires sigma2 > 0")
+    _require("g", g)
+    _require("sigma2", stats.sigma2, lo=0, lo_open=True)
     if abs(stats.mu) > stats.sigma:
         _warn(f"erfc law unreliable for |mu|/sigma = {abs(stats.mu) / stats.sigma:.3g} > 1")
     x = g**2 * t / (2.0 * stats.sigma)
@@ -361,8 +357,8 @@ def coherence_broad_erfc(g: float, stats: EnsembleStats, t):
 @_over_time
 def coherence_broad_linear(g: float, stats: EnsembleStats, t):
     """Shortest-time broad-ensemble law: linear decay, floored at zero."""
-    if stats.sigma2 <= 0:
-        raise InvalidInputError("coherence_broad_linear requires sigma2 > 0")
+    _require("g", g)
+    _require("sigma2", stats.sigma2, lo=0, lo_open=True)
     slope = g**2 * math.exp(-(stats.mu**2) / (2.0 * stats.sigma2)) / (
         math.sqrt(math.pi) * stats.sigma
     )
@@ -371,10 +367,8 @@ def coherence_broad_linear(g: float, stats: EnsembleStats, t):
 
 def sample_uniform_couplings(n: int, half_width: float, rng: np.random.Generator) -> list[TlfSpec]:
     """n couplings i.i.d. uniform on [-half_width, +half_width], seeded rng."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if half_width <= 0:
-        raise InvalidInputError("half_width must be > 0")
+    _require("n", n, lo=1)
+    _require("half_width", half_width, lo=0, lo_open=True)
     lams = rng.uniform(-half_width, half_width, n)
     eps = rng.uniform(*_EPS_RANGE, n)
     return [TlfSpec(epsilon=e, lam=l) for e, l in zip(eps, lams)]
@@ -393,13 +387,13 @@ def sample_spatial_couplings(
     Positions are uniform in box^dim (units of the short-distance cutoff; the
     box must exclude the origin) and the sign of each coupling is a fair coin.
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    _require("n", n, lo=1)
     if dim not in (2, 3):
         raise InvalidInputError(f"dim must be 2 or 3, got {dim}")
-    lo, hi = box
-    if not (0 < lo < hi):
-        raise InvalidInputError(f"box {box!r} must satisfy 0 < lo < hi")
+    lo = _require("box[0]", box[0], lo=0, lo_open=True)
+    hi = _require("box[1]", box[1], lo=lo, lo_open=True)
+    _require("scale", scale)
+    _require("g", g)
     coords = rng.uniform(lo, hi, (n, dim))
     signs = rng.integers(0, 2, n) * 2 - 1
     r2 = np.sum(coords**2, axis=1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .model import _require
 
 __all__ = [
     "TlsMicro",
@@ -32,8 +33,8 @@ class TlsMicro:
     delta0: float
 
     def __post_init__(self) -> None:
-        if self.delta0 < 0:
-            raise InvalidInputError(f"delta0 must be >= 0, got {self.delta0}")
+        _require("delta", self.delta)
+        _require("delta0", self.delta0, lo=0)
 
     @property
     def epsilon(self) -> float:
@@ -58,10 +59,9 @@ class MaterialParams:
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
             raise InvalidInputError(f"d must be 2 or 3, got {self.d}")
-        if self.chi <= 0 or self.j0 <= 0 or self.r0 <= 0:
-            raise InvalidInputError("chi, j0 and r0 must be positive")
-        if not 0.0 <= self.cos_theta <= 1.0:
-            raise InvalidInputError(f"cos_theta must lie in [0, 1], got {self.cos_theta}")
+        for name in ("chi", "j0", "r0"):
+            _require(name, getattr(self, name), lo=0, lo_open=True)
+        _require("cos_theta", self.cos_theta, lo=0, hi=1)
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def relaxation_rate(tls: TlsMicro, mat: MaterialParams, kt: float) -> float:
     Vanishes for a non-tunneling defect (delta0 = 0); maximal at delta0 = eps,
     where it scales as T^d near the thermal border eps ~ kT.
     """
-    if kt <= 0:
-        raise InvalidInputError(f"kt must be > 0, got {kt}")
+    _require("kt", kt, lo=0, lo_open=True)
     eps = tls.epsilon
     if eps == 0.0:
         return 0.0
@@ -91,10 +90,8 @@ def coupling_from_geometry(
     mat: MaterialParams, r: float, tlf_u: float, sign: int
 ) -> float:
     """Dipolar coupling at separation r: sign * J0 (r0/r)^d cos_theta sqrt(1 - u)."""
-    if r < mat.r0:
-        raise InvalidInputError(f"r = {r} is below the cutoff r0 = {mat.r0}")
-    if not 0.0 < tlf_u <= 1.0:
-        raise InvalidInputError(f"tlf_u must lie in (0, 1], got {tlf_u}")
+    _require("r", r, lo=mat.r0)
+    _require("tlf_u", tlf_u, lo=0, hi=1, lo_open=True)
     if sign not in (-1, 1):
         raise InvalidInputError(f"sign must be +1 or -1, got {sign}")
     return sign * mat.j0 * (mat.r0 / r) ** mat.d * mat.cos_theta * math.sqrt(1.0 - tlf_u)
@@ -122,14 +119,13 @@ def average_variance_mc(
     given generator state; batches drawn from independently seeded generators
     can run concurrently.
     """
-    if mat.d <= 1:
-        raise InvalidInputError("radial integral diverges for d <= 1")
-    if not 0.0 < u_min < 1.0:
-        raise InvalidInputError(f"u_min must lie in (0, 1), got {u_min}")
-    if n_samples < 10_000:
-        raise InvalidInputError(f"n_samples must be >= 10^4, got {n_samples}")
-    if eps_max <= 0 or r_max <= mat.r0 or kt <= 0 or density <= 0:
-        raise InvalidInputError("eps_max, r_max, kt and density must be positive")
+    if _require("u_min", u_min, lo=0, lo_open=True) >= 1:
+        raise InvalidInputError(f"u_min must be < 1, got {float(u_min)!r}")
+    _require("n_samples", n_samples, lo=10_000)
+    _require("eps_max", eps_max, lo=0, lo_open=True)
+    _require("r_max", r_max, lo=mat.r0, lo_open=True)
+    _require("kt", kt, lo=0, lo_open=True)
+    _require("density", density, lo=0, lo_open=True)
 
     d = mat.d
     # radial importance density p(r) ~ r^(-d-1) matches the integrand's radial

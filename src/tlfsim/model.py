@@ -49,6 +49,29 @@ def _check_ratio(what: str, name: str, large: float, small: float) -> None:
         _warn(f"{what} outside regime: {name} = {large / small:.3g}")
 
 
+def _out_of_domain(x, lo=None, hi=None, lo_open=False) -> str | None:
+    """Why x is not finite, >= lo (> lo with lo_open) and <= hi, or None; an int
+    of any size is compared exactly.  cli's parsers word their refusals with it too."""
+    if not isinstance(x, int) and not math.isfinite(x):
+        return "must be finite"
+    if lo is not None and (x <= lo if lo_open else x < lo):
+        return f"must be {'>' if lo_open else '>='} {lo}"
+    if hi is not None and x > hi:
+        return f"must be <= {hi}"
+    return None
+
+
+def _require(name: str, x, lo=None, hi=None, lo_open=False):
+    """x if _out_of_domain finds no reason, else InvalidInputError "<name> <reason>, got
+    <x>".  A float inside its domain costs one call: TlfSpec runs this 2^20 times."""
+    if (type(x) is not int and math.isfinite(x)  # an int may be past the float range
+            and (lo is None or (x > lo if lo_open else x >= lo)) and (hi is None or x <= hi)):
+        return x
+    if (reason := _out_of_domain(x, lo, hi, lo_open)) is None:
+        return x
+    raise InvalidInputError(f"{name} {reason}, got {x if isinstance(x, int) else float(x)!r}")
+
+
 @dataclass(frozen=True)
 class JcParams:
     """Oscillator frequency, TLS splitting and exchange coupling.
@@ -68,16 +91,9 @@ class JcParams:
     g: float
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "epsilon_t", "g"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {float(value)!r}")
-        if self.omega0 <= 0:
-            raise InvalidInputError(f"omega0 must be positive, got {self.omega0}")
-        if self.epsilon_t <= 0:
-            raise InvalidInputError(f"epsilon_t must be positive, got {self.epsilon_t}")
-        if self.g < 0:
-            raise InvalidInputError(f"g must be nonnegative, got {self.g}")
+        _require("omega0", self.omega0, lo=0, lo_open=True)
+        _require("epsilon_t", self.epsilon_t, lo=0, lo_open=True)
+        _require("g", self.g, lo=0)
         if not self.is_weakly_coupled:
             _warn(f"g = {self.g} is not small compared to min(epsilon_t, omega0); "
                   "the exchange-coupling model may not apply", UserWarning)
@@ -104,8 +120,8 @@ class ThermalContext:
     kt: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kt is not None and not (math.isfinite(self.kt) and self.kt > 0):
-            raise InvalidInputError(f"kt must be positive and finite, got {float(self.kt)!r}")
+        if self.kt is not None:
+            _require("kt", self.kt, lo=0, lo_open=True)
 
     @classmethod
     def scale_separated(cls) -> "ThermalContext":
@@ -117,8 +133,7 @@ class ThermalContext:
 
     def tanh_factor(self, epsilon: float) -> float:
         """tanh(epsilon / 2 kT); zero in the scale-separated limit."""
-        if not math.isfinite(epsilon) or epsilon < 0:
-            raise InvalidInputError(f"epsilon must be finite and >= 0, got {float(epsilon)!r}")
+        _require("epsilon", epsilon, lo=0)
         if self.kt is None:
             return 0.0
         # math.tanh saturates to +/-1 without overflow for large arguments
@@ -199,13 +214,6 @@ def jc_eigensystem(params: JcParams) -> JcEigensystem:
     )
 
 
-def _as_time(t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise InvalidInputError("t must be finite and nonnegative")
-    return arr
-
-
 def _over_time(kernel):
     """The time-argument rule of kernel(..., t): t, a finite nonnegative scalar or array
     of any shape, reaches the kernel as a 1-D float grid, and the result comes back in
@@ -214,7 +222,9 @@ def _over_time(kernel):
     def over_time(*args, **kwargs):
         if "t" not in kwargs:
             *args, kwargs["t"] = args
-        arr = _as_time(kwargs["t"])
+        arr = np.asarray(kwargs["t"], dtype=float)
+        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            raise InvalidInputError("t must be finite and nonnegative")
         kwargs["t"] = arr.ravel()
         out = kernel(*args, **kwargs)
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
@@ -343,4 +353,4 @@ def coherence_gr_short_time(g: float, t) -> np.ndarray | float:
     Valid only while Omega t / 2 << 1; the caller is responsible for the
     regime.  Independent of the detuning.
     """
-    return 1.0 - (g * t) ** 2 / 2.0
+    return 1.0 - (_require("g", g) * t) ** 2 / 2.0

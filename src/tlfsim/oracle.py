@@ -30,6 +30,7 @@ from .model import (
     CoherenceTrace,
     JcParams,
     ThermalContext,
+    _require,
     _time_grid,
     _uniform_block,
     thermal_population,
@@ -62,10 +63,8 @@ class HilbertSpec:
     n_tlf: int
 
     def __post_init__(self) -> None:
-        if self.n_osc < 2:
-            raise InvalidInputError("n_osc must be >= 2 (initial state spans |0>, |1>)")
-        if self.n_tlf < 0:
-            raise InvalidInputError("n_tlf must be >= 0")
+        _require("n_osc", self.n_osc, lo=2)  # the initial state spans |0>, |1>
+        _require("n_tlf", self.n_tlf, lo=0)
 
     @property
     def dim(self) -> int:
@@ -172,7 +171,7 @@ def initial_state(
         raise InvalidInputError(f"expected {spec.n_tlf} fluctuators, got {len(tlfs)}")
     spec.check_cap()
     norm = abs(c0) ** 2 + abs(c1) ** 2
-    if abs(norm - 1.0) >= 1e-12:
+    if not abs(norm - 1.0) < 1e-12:  # a NaN amplitude is refused too
         raise InvalidInputError(f"|c0|^2 + |c1|^2 = {norm} is not 1 within 1e-12")
     psi_osc = np.zeros(spec.n_osc, dtype=complex)
     psi_osc[0] = c0
@@ -253,8 +252,7 @@ def evolve_lindblad(
     Chained step matrices are used instead of diagonalizing L, whose
     eigenvectors are ill-conditioned near exceptional points.
     """
-    if gamma < 0:
-        raise InvalidInputError(f"gamma must be >= 0, got {gamma}")
+    _require("gamma", gamma, lo=0)
     if len(rho0.dims) != 3:
         raise InvalidInputError("evolve_lindblad supports exactly one fluctuator")
     t_arr = _time_grid(t_grid)

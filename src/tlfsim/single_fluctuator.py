@@ -8,7 +8,6 @@ captures the residual fast ripple.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .model import (
     _mixture_coherence,
     _over_time,
     _rabi_envelope,
+    _require,
     _warn,
 )
 
@@ -47,10 +47,8 @@ class TlfSpec:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise InvalidInputError(f"epsilon must be finite and >= 0, got {float(self.epsilon)!r}")
-        if not math.isfinite(self.lam):
-            raise InvalidInputError(f"lam must be finite, got {float(self.lam)!r}")
+        _require("epsilon", self.epsilon, lo=0)
+        _require("lam", self.lam)
 
 
 @_over_time

@@ -1,10 +1,15 @@
 """Shared fixtures: thermal contexts and oracle helpers."""
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-import tlfsim as ts
+# This checkout's src comes after PYTHONPATH, so PYTHONPATH=<other>/src tests that package.
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import tlfsim as ts  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -284,6 +284,26 @@ class TestValidation:
         assert capsys.readouterr().err == "error: n: must be <= 1048576 (got '1048577')\n"
         assert not out.exists()
 
+    def test_huge_integer_is_a_bound_error(self, tmp_path, capsys):
+        # an int past the float range is compared exactly, never converted
+        digits = "9" * 400
+        assert main(["ensemble", "--n", digits, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: n: must be <= 1048576 (got '{digits}')\n"
+
+    @pytest.mark.parametrize("half_width", ["1e200", "1e308"])
+    def test_half_width_bounded(self, tmp_path, capsys, half_width):
+        # sigma^2 <= n half_width^2 stays finite for every n <= 2^20 at half_width <= 1e150
+        needle = f"error: halfWidth: must be <= 1e+150 (got '{half_width}')\n"
+        cfg = tmp_path / "hw.conf"
+        cfg.write_text(f"kind = ensemble\nhalfWidth = {half_width}\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == needle
+        out = tmp_path / "x.csv"
+        assert main(["ensemble", "--half-width", half_width, "--n-points", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == needle
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_ensemble_byte_identical(self, tmp_path):
@@ -502,6 +522,7 @@ CONTRACT_PROBES = [
     ["dissipative", "--lambda", "-1e308", "--n-points", "5"],
     ["dissipative", "--lambda", "9e307", "--n-points", "5"],
     ["dissipative", "--gamma", "9e307", "--n-points", "5"],
+    ["ensemble", "--half-width", "1e200", "--n-points", "3"],
 ]
 
 # Runs whose error is raised inside a setup or a column, with their stderr
@@ -521,8 +542,8 @@ LABELLED_ERRORS = {
         "numerical error: strong_higher: float division by zero"]),
     "micro --j0 1e300 --n-points 2": (3, [
         "numerical error: micro setup: Numerical result out of range"]),
-    "ensemble --half-width 1e200 --n-points 3": (2, [
-        "error: ensemble setup: sigma2 must be finite and >= 0, got inf"]),
+    "ensemble --sampler spatial --w 1e200 --n-points 3": (2, [
+        "error: ensemble setup: sigma2 must be finite, got inf"]),
     "ensemble --sampler spatial --box-lo 1e-200 --box-hi 2e-200 --n-points 3": (2, [
         "error: ensemble setup: lam must be finite, got -inf"]),
 }

@@ -124,6 +124,11 @@ class TestInitialState:
         with pytest.raises(InvalidInputError):
             ts.initial_state(1.0, 1.0, [], ss, spec)
 
+    def test_nan_amplitude_rejected(self, ss):
+        spec = ts.HilbertSpec(n_osc=2, n_tlf=0)
+        with pytest.raises(InvalidInputError, match="= nan is not 1 within 1e-12"):
+            ts.initial_state(math.nan, SQ2, [], ss, spec)
+
 
 class TestUnitary:
     def test_hermitian_hamiltonian(self, ss):
