@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 import warnings
@@ -256,6 +257,14 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     if kind == "ensemble" and params.get("boxLo") and params.get("boxHi"):
         if params["boxLo"] >= params["boxHi"]:
             errors.append("boxLo: must be < boxHi")
+        elif params["sampler"] == "spatial" and params["g"] and params["w"] and params["dim"]:
+            # the largest coupling, at the box corner nearest the origin, in logs
+            # (boxLo^2 may underflow); bounded like halfWidth
+            d = params["dim"]
+            if (math.log(params["g"]) + math.log(params["w"]) - d / 2 * math.log(d)
+                    - d * math.log(params["boxLo"]) > math.log(1e150)):
+                errors.append("w: must keep the largest coupling "
+                              "g*w/(dim*boxLo^2)^(dim/2) <= 1e+150")
     if kind == "micro" and params.get("ktMin") and params.get("ktMax"):
         if params["ktMin"] >= params["ktMax"]:
             errors.append("ktMin: must be < ktMax")

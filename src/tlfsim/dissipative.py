@@ -13,7 +13,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidInputError, NumericalError
 from .model import CoherenceTrace, _check_ratio, _over_time, _require, _time_grid, _uniform_block
@@ -33,6 +32,13 @@ _SQRT2 = math.sqrt(2.0)
 # classify_regime's boundaries: weak coupling once g >= 5|lam|; weak or strong
 # damping once gamma is a factor 5 below or above |lam|.
 _CLASSIFY_RATIO = 5.0
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use to keep scipy off the import path."""
+    from scipy.linalg import expm
+
+    return expm(a)
 
 
 class DampingRegime(enum.Enum):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, exp1
 
 from .errors import (
     CapacityError,
@@ -278,6 +277,8 @@ def _excised_window(stats: EnsembleStats, phi: np.ndarray, lam_cut: float) -> np
     int_0^cut Lam^k exp(i phi / Lam) dLam = cut^(k+1) E_(k+2)(-i phi / cut)
     come from the upward recurrence E_{n+1} = (e^-z - z E_n)/n.
     """
+    from scipy.special import exp1
+
     c0 = float(_gaussian(stats, np.array(0.0)))
     c1 = c0 * stats.mu / stats.sigma2
     c2 = c0 * (stats.mu**2 / stats.sigma2**2 - 1.0 / stats.sigma2) / 2.0
@@ -345,6 +346,8 @@ def coherence_broad_erfc(g: float, stats: EnsembleStats, t):
     reduces to erfc(g^2 t / 2 sigma) for mu << sigma.  Fails for mu >> sigma
     (the fast-oscillating region leaves the distribution's support).
     """
+    from scipy.special import erfc
+
     _require("g", g)
     _require("sigma2", stats.sigma2, lo=0, lo_open=True)
     if abs(stats.mu) > stats.sigma:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, expm
 
 from .errors import (
     CapacityError,
@@ -53,6 +52,13 @@ _SIGMA_Z = np.diag([1.0, -1.0])
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |e><g|
 _SIGMA_MINUS = _SIGMA_PLUS.T
 _MAX_DIM = 4096  # largest Hilbert dimension the dense oracles build
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use to keep scipy off the import path."""
+    from scipy.linalg import expm
+
+    return expm(a)
 
 
 @dataclass(frozen=True)
@@ -202,6 +208,8 @@ def evolve_unitary(
     In the eigenbasis rho(t)_jk = e^{-i (E_j - E_k) t} rho(0)_jk, so each chunk
     of time points is one elementwise product and two batched matrix products.
     """
+    from scipy.linalg import eigh
+
     t_arr = _time_grid(t_grid)
     try:
         evals, vecs = eigh(h)

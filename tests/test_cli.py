@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 import warnings
@@ -59,6 +60,17 @@ def _assert_fails_fast(tmp_path, capsys, argv, needle):
     err = capsys.readouterr().err
     assert needle in err and err.count("\n") == 1
     assert not out.exists()
+
+
+# Spatial ensembles whose largest coupling g*w/(dim*boxLo^2)^(dim/2) exceeds
+# 1e150, where n lam^2 could overflow: refused at validation, naming w.
+SPATIAL_BOUND_PROBES = [
+    "ensemble --sampler spatial --w 1e200 --n-points 3",
+    "ensemble --sampler spatial --box-lo 1e-200 --box-hi 2e-200 --n-points 3",
+    "ensemble --sampler spatial --g 1e300 --n-points 3",
+]
+SPATIAL_BOUND_ERROR = ("error: w: must keep the largest coupling "
+                       "g*w/(dim*boxLo^2)^(dim/2) <= 1e+150\n")
 
 
 class TestValidation:
@@ -304,6 +316,26 @@ class TestValidation:
         assert capsys.readouterr().err == needle
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", SPATIAL_BOUND_PROBES)
+    def test_spatial_coupling_bounded(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(argv.split() + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == SPATIAL_BOUND_ERROR
+        assert not out.exists()
+
+    def test_spatial_coupling_bounded_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "w.conf"
+        cfg.write_text("kind = ensemble\nsampler = spatial\nw = 1e200\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == SPATIAL_BOUND_ERROR
+
+    def test_spatial_coupling_just_inside_bound(self, tmp_path):
+        # g*w/(dim*boxLo^2) = 0.1 * 1.9e151 / 2 = 9.5e149
+        out = tmp_path / "x.csv"
+        assert main(["ensemble", "--sampler", "spatial", "--w", "1.9e151", "--n-points", "3",
+                     "--out", str(out)]) == 0
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+
 
 class TestDeterminism:
     def test_ensemble_byte_identical(self, tmp_path):
@@ -542,12 +574,8 @@ LABELLED_ERRORS = {
         "numerical error: strong_higher: float division by zero"]),
     "micro --j0 1e300 --n-points 2": (3, [
         "numerical error: micro setup: Numerical result out of range"]),
-    "ensemble --sampler spatial --w 1e200 --n-points 3": (2, [
-        "error: ensemble setup: sigma2 must be finite, got inf"]),
-    "ensemble --sampler spatial --box-lo 1e-200 --box-hi 2e-200 --n-points 3": (2, [
-        "error: ensemble setup: lam must be finite, got -inf"]),
 }
-CONTRACT_PROBES += [argv.split() for argv in LABELLED_ERRORS]
+CONTRACT_PROBES += [argv.split() for argv in [*LABELLED_ERRORS, *SPATIAL_BOUND_PROBES]]
 
 
 def _stage_labels(argv):
@@ -666,15 +694,45 @@ def test_run_key_error_quotes_user_text(tmp_path, capsys, argv, key):
     assert err.count("\n") == 1
 
 
+def _python(*args, timeout):
+    """Run a fresh interpreter that imports this tlfsim first."""
+    src = os.path.dirname(os.path.dirname(tlfsim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
 class TestEntryPoint:
     def test_python_m_tlfsim(self):
-        src = os.path.dirname(os.path.dirname(tlfsim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "tlfsim", "validate", "--help"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = _python("-m", "tlfsim", "validate", "--help", timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "--config" in proc.stdout
+
+    def test_scipy_loads_on_first_use(self, tmp_path):
+        # scipy.linalg serves the oracle and the ode method, scipy.special the
+        # broad and erfc laws; every other run starts on numpy alone
+        numpy_only = ["figure 1", "figure 4", "dissipative --methods weak_damped",
+                      "ensemble --methods exact,narrow,continuum,envelope", "micro"]
+        first_use = ["figure 3", "continuum --methods broad,erfc"]
+        script = textwrap.dedent(f"""
+            import sys
+            import tlfsim, tlfsim.cli
+
+            def run(argvs):
+                for argv in argvs:
+                    argv = argv.split() + ["--n-points", "3", "--out", {str(tmp_path / "x.csv")!r}]
+                    assert tlfsim.cli.main(argv) == 0, argv
+                print("loaded", [m in sys.modules for m in ("scipy.linalg", "scipy.special")])
+
+            run([])
+            run({numpy_only!r})
+            run({first_use!r})
+        """)
+        proc = _python("-c", script, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+        assert reports == ["loaded [False, False]"] * 2 + ["loaded [True, True]"]
 
 
 def reference_write_csv(path, first_name, first, columns):
