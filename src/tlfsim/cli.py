@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import sys
 import warnings
@@ -37,6 +36,7 @@ from .ensemble import (
     coherence_narrow,
     ensemble_stats,
     EnsembleStats,
+    _spatial_couplings,
     sample_spatial_couplings,
     sample_uniform_couplings,
 )
@@ -60,25 +60,14 @@ EXIT_NUMERICAL = 3
 KINDS = ("jc-only", "single-tlf", "dissipative", "ensemble", "continuum", "micro")
 
 
-def _f(lo=None, hi=None, lo_open=False):
-    def parse(s: str) -> float:
+def _number(cast=float, lo=None, hi=None, lo_open=False):
+    """A parser of one number of type ``cast`` in the domain of model._out_of_domain."""
+    def parse(s: str):
         try:
-            x = float(s)
+            x = cast(s)
         except ValueError:
-            raise ValueError("must be a number") from None
+            raise ValueError(f"must be {'an integer' if cast is int else 'a number'}") from None
         if reason := _out_of_domain(x, lo, hi, lo_open):
-            raise ValueError(reason)
-        return x
-    return parse
-
-
-def _i(lo=None, hi=None):
-    def parse(s: str) -> int:
-        try:
-            x = int(s)
-        except ValueError:
-            raise ValueError("must be an integer") from None
-        if reason := _out_of_domain(x, lo, hi):
             raise ValueError(reason)
         return x
     return parse
@@ -92,63 +81,79 @@ def _choice(*options):
     return parse
 
 
+_POSITIVE = _number(lo=0, lo_open=True)
+_KT = (_POSITIVE, None, "thermal energy; omit for the scale-separated limit")
+# The JcParams keys of every kind that has an oscillator.
+_JC = {
+    "omega0": (_POSITIVE, 1.0, "oscillator frequency"),
+    "g": (_number(lo=0), 0.1, "oscillator-TLS coupling"),
+    "delta": (_number(), 0.0, "TLS-oscillator detuning"),
+}
+
 # Per-kind parameter schema: key -> (parser, default, help).
 SCHEMAS = {
-    "jc-only": {
-        "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
-        "g": (_f(lo=0), 0.1, "oscillator-TLS coupling"),
-        "delta": (_f(), 0.0, "TLS-oscillator detuning"),
-    },
+    "jc-only": _JC,
     "single-tlf": {
-        "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
-        "g": (_f(lo=0), 0.1, "oscillator-TLS coupling"),
-        "delta": (_f(), 0.0, "TLS-oscillator detuning"),
-        "lambda": (_f(), 0.01, "TLS-TLF coupling"),
-        "eps": (_f(lo=0), 0.1, "TLF splitting"),
-        "kT": (_f(lo=0, lo_open=True), None, "thermal energy; omit for the scale-separated limit"),
+        **_JC,
+        "lambda": (_number(), 0.01, "TLS-TLF coupling"),
+        "eps": (_number(lo=0), 0.1, "TLF splitting"),
+        "kT": _KT,
     },
     "dissipative": {
-        "g": (_f(lo=0), 0.1, "oscillator-TLS coupling"),
-        "lambda": (_f(), 0.01, "TLS-TLF coupling"),
-        "gamma": (_f(lo=0), 0.005, "TLF switching rate"),
+        "g": _JC["g"],
+        "lambda": (_number(), 0.01, "TLS-TLF coupling"),
+        "gamma": (_number(lo=0), 0.005, "TLF switching rate"),
     },
     "ensemble": {
-        "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
-        "g": (_f(lo=0), 0.1, "oscillator-TLS coupling"),
-        "delta": (_f(), 0.0, "TLS-oscillator detuning"),
-        "n": (_i(lo=1, hi=2**20), 5, "number of fluctuators"),
+        **_JC,
+        "n": (_number(int, lo=1, hi=2**20), 5, "number of fluctuators"),
         "sampler": (_choice("uniform", "spatial"), "uniform", "coupling sampler"),
         # bounded so that sigma^2 stays finite for every n <= 2^20
-        "halfWidth": (_f(lo=0, hi=1e150, lo_open=True), 0.005, "uniform sampler half-width"),
-        "dim": (_i(lo=2, hi=3), 2, "spatial sampler host dimension"),
-        "boxLo": (_f(lo=0, lo_open=True), 1.0, "spatial sampler box lower edge"),
-        "boxHi": (_f(lo=0, lo_open=True), 10.0, "spatial sampler box upper edge"),
-        "w": (_f(lo=0, lo_open=True), 1.0, "spatial sampler coupling scale"),
-        "kT": (_f(lo=0, lo_open=True), None, "thermal energy; omit for the scale-separated limit"),
+        "halfWidth": (_number(lo=0, hi=1e150, lo_open=True), 0.005, "uniform sampler half-width"),
+        "dim": (_number(int, lo=2, hi=3), 2, "spatial sampler host dimension"),
+        # bounded so that r^2 and r^dim stay normal floats
+        "boxLo": (_number(lo=1e-75, hi=1e75), 1.0, "spatial sampler box lower edge"),
+        "boxHi": (_number(lo=1e-75, hi=1e75), 10.0, "spatial sampler box upper edge"),
+        "w": (_POSITIVE, 1.0, "spatial sampler coupling scale"),
+        "kT": _KT,
     },
     "continuum": {
-        "omega0": (_f(lo=0, lo_open=True), 1.0, "oscillator frequency"),
-        "g": (_f(lo=0), 0.01, "oscillator-TLS coupling"),
-        "delta": (_f(), 0.0, "TLS-oscillator detuning"),
+        **_JC,
+        "g": (_number(lo=0), 0.01, "oscillator-TLS coupling"),
         # bounded so that mu^2, sigma^2 and sigma^4 stay normal floats
-        "mu": (_f(lo=-1e150, hi=1e150), 0.0, "inner-product mean"),
-        "sigma": (_f(lo=1e-75, hi=1e75), 0.03, "inner-product standard deviation"),
+        "mu": (_number(lo=-1e150, hi=1e150), 0.0, "inner-product mean"),
+        "sigma": (_number(lo=1e-75, hi=1e75), 0.03, "inner-product standard deviation"),
     },
     "micro": {
-        "d": (_i(lo=2, hi=3), 3, "host dimension"),
-        "chi": (_f(lo=0, lo_open=True), 1.0, "phonon-rate prefactor"),
-        "j0": (_f(lo=0, lo_open=True), 1.0, "dipolar coupling constant"),
-        "r0": (_f(lo=0, lo_open=True), 1.0, "short-distance cutoff"),
-        "cosTheta": (_f(lo=0, hi=1), 0.7, "central-TLS mixing cosine"),
-        "density": (_f(lo=0, lo_open=True), 1.0, "fluctuator density P0"),
-        "uMin": (_f(lo=0, lo_open=True), 1e-4, "barrier-parameter cutoff"),
-        "epsMax": (_f(lo=0, lo_open=True), 10.0, "splitting cutoff"),
-        "rMax": (_f(lo=0, lo_open=True), 1000.0, "radial cutoff (units of r0)"),
-        "nSamples": (_i(lo=10_000), 200_000, "Monte-Carlo samples per temperature"),
-        "ktMin": (_f(lo=0, lo_open=True), 0.05, "thermal scan lower edge"),
-        "ktMax": (_f(lo=0, lo_open=True), 1.0, "thermal scan upper edge"),
+        "d": (_number(int, lo=2, hi=3), 3, "host dimension"),
+        "chi": (_POSITIVE, 1.0, "phonon-rate prefactor"),
+        "j0": (_POSITIVE, 1.0, "dipolar coupling constant"),
+        "r0": (_POSITIVE, 1.0, "short-distance cutoff"),
+        "cosTheta": (_number(lo=0, hi=1), 0.7, "central-TLS mixing cosine"),
+        "density": (_POSITIVE, 1.0, "fluctuator density P0"),
+        "uMin": (_POSITIVE, 1e-4, "barrier-parameter cutoff"),
+        "epsMax": (_POSITIVE, 10.0, "splitting cutoff"),
+        "rMax": (_POSITIVE, 1000.0, "radial cutoff (same units as r0; must exceed r0)"),
+        "nSamples": (_number(int, lo=10_000), 200_000, "Monte-Carlo samples per temperature"),
+        "ktMin": (_POSITIVE, 0.05, "thermal scan lower edge"),
+        "ktMax": (_POSITIVE, 1.0, "thermal scan upper edge"),
     },
 }
+
+# Rules over several keys, as (key, expression, value, domain), for each kind whose schema
+# has the key: value(params), unless None, must lie in the domain of model._out_of_domain.
+_ABOVE_ZERO = {"lo": 0, "lo_open": True}
+RULES = [
+    ("delta", "omega0 + delta", lambda p: p["omega0"] + p["delta"], _ABOVE_ZERO),  # epsilon_t
+    ("boxHi", "boxHi - boxLo", lambda p: p["boxHi"] - p["boxLo"], _ABOVE_ZERO),
+    # the largest coupling, at the box corner nearest the origin; bounded like halfWidth
+    ("w", "g*w/(dim*boxLo^2)^(dim/2)",
+     lambda p: (_spatial_couplings(p["g"], p["w"], np.full((1, p["dim"]), p["boxLo"]))[0]
+                if p["sampler"] == "spatial" else None), {"hi": 1e150}),
+    ("rMax", "rMax - r0", lambda p: p["rMax"] - p["r0"], _ABOVE_ZERO),
+    ("uMin", "1 - uMin", lambda p: 1.0 - p["uMin"], _ABOVE_ZERO),
+    ("ktMax", "ktMax - ktMin", lambda p: p["ktMax"] - p["ktMin"], _ABOVE_ZERO),
+]
 
 DEFAULT_T_MAX = {
     "jc-only": 200.0,
@@ -214,16 +219,16 @@ def _take(raw: dict, errors: list[str], key: str, parse, default):
 
 def _run_keys(raw: dict, errors: list[str], t_max: float | None) -> tuple:
     """The grid end (default ``t_max``), point count and seed of any run."""
-    return (_take(raw, errors, "tGrid.tMax", _f(lo=0, lo_open=True), t_max),
-            _take(raw, errors, "tGrid.nPoints", _i(lo=2, hi=10**6), 1000),
-            _take(raw, errors, "seed", _i(lo=0), 0))
+    return (_take(raw, errors, "tGrid.tMax", _POSITIVE, t_max),
+            _take(raw, errors, "tGrid.nPoints", _number(int, lo=2, hi=10**6), 1000),
+            _take(raw, errors, "seed", _number(int, lo=0), 0))
 
 
 def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None, list[str]]:
     """Validate a flat key-value mapping into a Scenario, collecting all errors.
 
-    Absent keys take their defaults: the schema's, the kind's grid end in
-    DEFAULT_T_MAX, 1000 points and seed 0."""
+    Absent keys take their defaults: the schema's, DEFAULT_T_MAX, 1000 points and seed 0.
+    RULES are checked once every key has parsed, so every setup accepts the result."""
     errors: list[str] = []
     raw = dict(raw)
 
@@ -239,6 +244,12 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
 
     params = {key: _take(raw, errors, key, parse, default)
               for key, (parse, default, _help) in SCHEMAS[kind].items()}
+    if not errors:  # every key has parsed
+        with np.errstate(all="ignore"):  # a value that overflows is refused as not finite
+            for key, expression, value, domain in RULES:
+                x = value(params) if key in params else None
+                if x is not None and (reason := _out_of_domain(x, **domain)):
+                    errors.append(f"{key}: {expression} {reason}")
     if kind == "micro" and raw.pop("tGrid.tMax", None) is not None:
         errors.append("tGrid.tMax: micro scans kT from ktMin to ktMax and takes no time grid")
     t_max, n_points, seed = _run_keys(raw, errors, DEFAULT_T_MAX.get(kind))
@@ -253,21 +264,6 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
         if tag not in METHODS[kind]:
             errors.append(f"methods: {tag!r} is not defined for kind {kind!r}; "
                           f"known tags: {', '.join(METHODS[kind])}")
-
-    if kind == "ensemble" and params.get("boxLo") and params.get("boxHi"):
-        if params["boxLo"] >= params["boxHi"]:
-            errors.append("boxLo: must be < boxHi")
-        elif params["sampler"] == "spatial" and params["g"] and params["w"] and params["dim"]:
-            # the largest coupling, at the box corner nearest the origin, in logs
-            # (boxLo^2 may underflow); bounded like halfWidth
-            d = params["dim"]
-            if (math.log(params["g"]) + math.log(params["w"]) - d / 2 * math.log(d)
-                    - d * math.log(params["boxLo"]) > math.log(1e150)):
-                errors.append("w: must keep the largest coupling "
-                              "g*w/(dim*boxLo^2)^(dim/2) <= 1e+150")
-    if kind == "micro" and params.get("ktMin") and params.get("ktMax"):
-        if params["ktMin"] >= params["ktMax"]:
-            errors.append("ktMin: must be < ktMax")
 
     for key in sorted(raw):
         errors.append(f"{key}: unknown key")

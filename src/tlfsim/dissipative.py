@@ -141,19 +141,22 @@ def _critical(gamma_eff: float, kappa_sq: float) -> bool:
     return abs(kappa_sq) < 1e-12 * max(gamma_eff**2, 1e-300)
 
 
-def _damped_bracket(gamma_eff: float, kappa_sq: float, t: np.ndarray) -> np.ndarray:
-    """cos(kappa t) + (Gamma/kappa) sin(kappa t), analytically continued.
+def _damped_envelope(gamma_eff: float, kappa_sq: float, t: np.ndarray) -> np.ndarray:
+    """e^(-Gamma t) [cos(kappa t) + (Gamma/kappa) sin(kappa t)], continuous in kappa_sq.
 
-    kappa_sq may be negative (overdamped: cosh/sinh) or zero (critical:
-    1 + Gamma t); the expression is continuous in kappa_sq.
+    Critical (kappa_sq = 0): e^(-Gamma t) (1 + Gamma t).  Overdamped (kappa_sq < 0):
+    [(1 + Gamma/kappa) e^(-(Gamma-kappa)t) + (1 - Gamma/kappa) e^(-(Gamma+kappa)t)] / 2,
+    in expm1 form, so that it neither overflows at late t nor cancels near critical.
     """
     if _critical(gamma_eff, kappa_sq):
-        return 1.0 + gamma_eff * t
-    kappa = complex(math.sqrt(abs(kappa_sq)))
+        return np.exp(-gamma_eff * t) * (1.0 + gamma_eff * t)
     if kappa_sq < 0:
-        kappa = 1j * kappa
-    out = np.cos(kappa * t) + (gamma_eff / kappa) * np.sin(kappa * t)
-    return out.real
+        kappa = math.sqrt(-kappa_sq)
+        return np.exp((kappa - gamma_eff) * t) * (
+            1.0 - (gamma_eff / kappa - 1.0) / 2.0 * np.expm1(-2.0 * kappa * t))
+    kappa = complex(math.sqrt(kappa_sq))
+    bracket = np.cos(kappa * t) + (gamma_eff / kappa) * np.sin(kappa * t)
+    return np.exp(-gamma_eff * t) * bracket.real
 
 
 @_over_time
@@ -167,8 +170,7 @@ def coherence_weak_damped(g: float, lam: float, gamma: float, t):
     _rates(g, lam, gamma)
     _check_ratio("weak-coupling damped formula", "g/|lam|", g, abs(lam))
     gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, DampingRegime.WEAK_COUPLING)
-    env = np.exp(-gamma_eff * t) * _damped_bracket(gamma_eff, kappa_sq, t)
-    return np.abs(np.cos(g * t) * env)
+    return np.abs(np.cos(g * t) * _damped_envelope(gamma_eff, kappa_sq, t))
 
 
 @_over_time
@@ -188,7 +190,7 @@ def coherence_strong_damped(g: float, lam: float, gamma: float, t):
         return np.exp(-(g**2) * gamma * t / (2.0 * lam**2))
     if regime in (DampingRegime.STRONG_WEAK_DAMP, DampingRegime.STRONG_STRONG_DAMP):
         gamma_eff, kappa_sq = _damped_rates(g, lam, gamma, regime)
-        return np.exp(-gamma_eff * t) * np.abs(_damped_bracket(gamma_eff, kappa_sq, t))
+        return np.abs(_damped_envelope(gamma_eff, kappa_sq, t))
     raise InvalidInputError(
         f"regime {regime.value} is not a strong-coupling regime; "
         "use coherence_weak_damped instead"

@@ -377,6 +377,11 @@ def sample_uniform_couplings(n: int, half_width: float, rng: np.random.Generator
     return [TlfSpec(epsilon=e, lam=l) for e, l in zip(eps, lams)]
 
 
+def _spatial_couplings(g: float, scale: float, coords: np.ndarray) -> np.ndarray:
+    """g * scale / r^dim at each row of coords, r^2 summed over its dim columns."""
+    return g * scale / np.sum(coords**2, axis=1) ** (coords.shape[1] / 2.0)
+
+
 def sample_spatial_couplings(
     n: int,
     dim: int,
@@ -399,7 +404,6 @@ def sample_spatial_couplings(
     _require("g", g)
     coords = rng.uniform(lo, hi, (n, dim))
     signs = rng.integers(0, 2, n) * 2 - 1
-    r2 = np.sum(coords**2, axis=1)
-    lams = signs * g * scale / r2 ** (dim / 2.0)
+    lams = signs * _spatial_couplings(g, scale, coords)
     eps = rng.uniform(*_EPS_RANGE, n)
     return [TlfSpec(epsilon=e, lam=l) for e, l in zip(eps, lams)]

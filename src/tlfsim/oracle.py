@@ -51,7 +51,7 @@ __all__ = [
 _SIGMA_Z = np.diag([1.0, -1.0])
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |e><g|
 _SIGMA_MINUS = _SIGMA_PLUS.T
-_MAX_DIM = 4096  # largest Hilbert dimension the dense oracles build
+_MAX_DIM = 4096  # largest side of a dense matrix the oracles build
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -80,12 +80,15 @@ class HilbertSpec:
     def dims(self) -> tuple[int, ...]:
         return (self.n_osc, 2) + (2,) * self.n_tlf
 
-    def check_cap(self) -> None:
-        if self.dim > _MAX_DIM:
-            raise CapacityError(
-                f"Hilbert dimension {self.dim} exceeds {_MAX_DIM}; "
-                "use the analytic ensemble sums for larger systems"
-            )
+    def check_cap(self, tlfs: Sequence[TlfSpec] | None = None, power: int = 1) -> None:
+        """InvalidInputError unless tlfs, when given, holds n_tlf fluctuators;
+        CapacityError, before anything is built, when the dense matrix side
+        dim**power exceeds _MAX_DIM (power 2 for the Lindblad superoperator)."""
+        if tlfs is not None and len(tlfs) != self.n_tlf:
+            raise InvalidInputError(f"expected {self.n_tlf} fluctuators, got {len(tlfs)}")
+        if (side := self.dim**power) > _MAX_DIM:
+            raise CapacityError(f"{('Hilbert', 'Liouville')[power - 1]} dimension {side} exceeds "
+                                f"{_MAX_DIM}; use the closed forms for larger systems")
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,7 @@ def build_hamiltonian(
     params: JcParams, tlfs: Sequence[TlfSpec], spec: HilbertSpec
 ) -> np.ndarray:
     """Full Hamiltonian: oscillator + TLS + exchange + fluctuator terms."""
-    if len(tlfs) != spec.n_tlf:
-        raise InvalidInputError(f"expected {spec.n_tlf} fluctuators, got {len(tlfs)}")
-    spec.check_cap()
+    spec.check_cap(tlfs)
     a = annihilation(spec.n_osc)
     h = params.omega0 * _site_operator(spec, 0, a.T @ a)
     h = h + (params.epsilon_t / 2.0) * _site_operator(spec, 1, _SIGMA_Z)
@@ -173,9 +174,7 @@ def initial_state(
     The fluctuator factors are diag(p_plus, p_minus) in the excited-first
     basis order.
     """
-    if len(tlfs) != spec.n_tlf:
-        raise InvalidInputError(f"expected {spec.n_tlf} fluctuators, got {len(tlfs)}")
-    spec.check_cap()
+    spec.check_cap(tlfs)
     norm = abs(c0) ** 2 + abs(c1) ** 2
     if not abs(norm - 1.0) < 1e-12:  # a NaN amplitude is refused too
         raise InvalidInputError(f"|c0|^2 + |c1|^2 = {norm} is not 1 within 1e-12")
@@ -265,6 +264,7 @@ def evolve_lindblad(
         raise InvalidInputError("evolve_lindblad supports exactly one fluctuator")
     t_arr = _time_grid(t_grid)
     spec = HilbertSpec(n_osc=rho0.dims[0], n_tlf=1)
+    spec.check_cap(power=2)
     h = build_hamiltonian(params, [tlf], spec)
 
     sqrt_g = math.sqrt(gamma)

@@ -62,15 +62,25 @@ def _assert_fails_fast(tmp_path, capsys, argv, needle):
     assert not out.exists()
 
 
-# Spatial ensembles whose largest coupling g*w/(dim*boxLo^2)^(dim/2) exceeds
-# 1e150, where n lam^2 could overflow: refused at validation, naming w.
-SPATIAL_BOUND_PROBES = [
-    "ensemble --sampler spatial --w 1e200 --n-points 3",
-    "ensemble --sampler spatial --box-lo 1e-200 --box-hi 2e-200 --n-points 3",
-    "ensemble --sampler spatial --g 1e300 --n-points 3",
-]
-SPATIAL_BOUND_ERROR = ("error: w: must keep the largest coupling "
-                       "g*w/(dim*boxLo^2)^(dim/2) <= 1e+150\n")
+# Spatial ensembles refused at validation: a largest coupling
+# g*w/(dim*boxLo^2)^(dim/2) past 1e150, where n lam^2 could overflow, names w,
+# and a box edge below 1e-75, where r^2 could underflow, names that edge.
+SPATIAL_BOUND_ERROR = "error: w: g*w/(dim*boxLo^2)^(dim/2) must be <= 1e+150\n"
+SPATIAL_BOUND_PROBES = {
+    "ensemble --sampler spatial --w 1e200 --n-points 3": SPATIAL_BOUND_ERROR,
+    "ensemble --sampler spatial --box-lo 1e-200 --box-hi 2e-200 --n-points 3": (
+        "error: boxLo: must be >= 1e-75 (got '1e-200')\n"
+        "error: boxHi: must be >= 1e-75 (got '2e-200')\n"),
+    "ensemble --sampler spatial --g 1e300 --n-points 3": SPATIAL_BOUND_ERROR,
+}
+# One input past each other rule over several keys, with its one error line.
+RULE_ERRORS = {
+    "jc-only --delta -1 --n-points 3": "error: delta: omega0 + delta must be > 0\n",
+    "ensemble --box-lo 5 --box-hi 2 --n-points 3": "error: boxHi: boxHi - boxLo must be > 0\n",
+    "micro --r-max 0.5 --n-points 3": "error: rMax: rMax - r0 must be > 0\n",
+    "micro --u-min 1 --n-points 3": "error: uMin: 1 - uMin must be > 0\n",
+    "micro --kt-min 2 --kt-max 1 --n-points 3": "error: ktMax: ktMax - ktMin must be > 0\n",
+}
 
 
 class TestValidation:
@@ -320,7 +330,14 @@ class TestValidation:
     def test_spatial_coupling_bounded(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert main(argv.split() + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err == SPATIAL_BOUND_ERROR
+        assert capsys.readouterr().err == SPATIAL_BOUND_PROBES[argv]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", RULE_ERRORS)
+    def test_rule_over_several_keys(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(argv.split() + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == RULE_ERRORS[argv]
         assert not out.exists()
 
     def test_spatial_coupling_bounded_in_config(self, tmp_path, capsys):
@@ -575,7 +592,19 @@ LABELLED_ERRORS = {
     "micro --j0 1e300 --n-points 2": (3, [
         "numerical error: micro setup: Numerical result out of range"]),
 }
-CONTRACT_PROBES += [argv.split() for argv in [*LABELLED_ERRORS, *SPATIAL_BOUND_PROBES]]
+# Inputs that once passed validation and then failed in a setup, with the key
+# that validation now names for each.
+SETUP_REFUSALS = {
+    "jc-only --delta -1 --n-points 3": "delta",
+    "single-tlf --omega0 1e150 --delta -1e308 --n-points 3": "delta",
+    "micro --r-max 0.5 --n-points 3": "rMax",
+    "micro --u-min 1 --n-points 3": "uMin",
+    "ensemble --sampler spatial --g 0 --box-lo 1e-200 --box-hi 2e-200 --n-points 3": "boxLo",
+    "ensemble --sampler spatial --g 1e-300 --box-lo 1e-200 --box-hi 2e-200 --n-points 3":
+        "boxLo",
+}
+CONTRACT_PROBES += [argv.split()
+                    for argv in [*LABELLED_ERRORS, *SPATIAL_BOUND_PROBES, *SETUP_REFUSALS]]
 
 
 def _stage_labels(argv):
@@ -605,6 +634,9 @@ def check_contract(argv, out):
     else:
         assert lines[-1].startswith({2: "error: ", 3: "numerical error: "}[rc])
         assert not os.path.exists(out)
+    if rc == 2:
+        # validation refuses every input that a setup would refuse
+        assert not re.match(r"error: \S+ setup: ", lines[-1]), lines
     if rc == 3:
         # every numerical error names the column or the setup it came from
         m = re.match(r"numerical error: (?:column (\S+) is not finite |([^:]+): )", lines[-1])
@@ -617,9 +649,32 @@ def test_input_contract(tmp_path, argv):
     check_contract(argv, tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize("argv", [
+    "dissipative --g 0.01 --lambda 0.1 --gamma 0.02 --t-max 40000 --methods strong_damped",
+    "dissipative --g 0.1 --lambda 0.01 --gamma 0.05 --t-max 20000 --methods weak_damped",
+    "figure 3 --t-max 1e6"])
+def test_overdamped_laws_at_late_times(tmp_path, argv):
+    # cosh and sinh of kappa t overflow here; the damped laws do not
+    assert check_contract([*argv.split(), "--n-points", "5"], tmp_path / "x.csv")[0] == 0
+
+
 @pytest.mark.parametrize("argv", LABELLED_ERRORS)
 def test_error_names_its_stage(tmp_path, argv):
     assert check_contract(argv.split(), tmp_path / "x.csv") == LABELLED_ERRORS[argv]
+
+
+@pytest.mark.parametrize("argv", SETUP_REFUSALS)
+def test_validate_refuses_what_a_run_refuses(tmp_path, capsys, argv):
+    kind, *tokens = argv.split()
+    keys = {_flag(key): key for key in cli.SCHEMAS[kind]} | {"--n-points": "tGrid.nPoints"}
+    cfg = tmp_path / "x.conf"
+    cfg.write_text(f"kind = {kind}\n" + "".join(
+        f"{keys[flag]} = {value}\n" for flag, value in zip(tokens[::2], tokens[1::2])))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    from_config = capsys.readouterr().err
+    assert from_config.startswith(f"error: {SETUP_REFUSALS[argv]}: ")
+    assert main([*argv.split(), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == from_config
 
 
 # Tokens every key is fuzzed with besides its own bounds and default.
@@ -638,7 +693,7 @@ def _bound_tokens(parse, default):
     if "options" in nonlocals:
         return [*nonlocals["options"], "other"]
     tokens = [] if default is None else [str(default)]
-    is_int = parse.__qualname__.startswith("_i.")
+    is_int = nonlocals["cast"] is int
     for bound, outward in ((nonlocals["lo"], -1), (nonlocals["hi"], 1)):
         if bound is None:
             continue

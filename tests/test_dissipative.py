@@ -184,6 +184,26 @@ class TestWeakDamped:
             ts.coherence_weak_damped(0.01, 0.1, 0.01, 1.0)
 
 
+@pytest.mark.parametrize("g, lam, gamma", [(0.1, 0.01, 0.05), (0.01, 0.1, 0.02)],
+                         ids=["weak-coupling", "strong-weak-damp"])
+def test_overdamped_law_at_late_times(g, lam, gamma):
+    # cosh(kappa t) overflows past kappa t ~ 710; the law stays finite and, once
+    # e^(-2 kappa t) is negligible, is (1 + gamma/kappa) e^(-(gamma - kappa) t) / 2
+    weak = ts.classify_regime(g, lam, gamma) is DampingRegime.WEAK_COUPLING
+    kappa = math.sqrt(gamma**2 - (lam if weak else g**2 / (2 * lam)) ** 2)
+    early = np.linspace(0.0, 600 / kappa, 50)
+    late = np.linspace(800 / kappa, 20 / (gamma - kappa), 50)
+    law = ts.coherence_weak_damped if weak else ts.coherence_strong_damped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        vals = [law(g, lam, gamma, t) / (np.abs(np.cos(g * t)) if weak else 1.0)
+                for t in (early, late)]
+    bracket = np.cosh(kappa * early) + gamma / kappa * np.sinh(kappa * early)
+    assert np.allclose(vals[0], np.exp(-gamma * early) * bracket, rtol=1e-12, atol=0)
+    asymptote = (1 + gamma / kappa) / 2 * np.exp(-(gamma - kappa) * late)
+    assert np.allclose(vals[1], asymptote, rtol=1e-12, atol=0)
+
+
 class TestStrongDamped:
     def test_weak_damping_limit(self, ss):
         g, lam = 0.01, 0.1

@@ -274,6 +274,19 @@ class TestLindbladReference:
         with pytest.raises(NumericalError):
             ts.evolve_lindblad(ts.JcParams(1.0, 1.0, 0.1), tlf, 1e200, rho0, [0.0, 10.0])
 
+    @pytest.mark.parametrize("n_osc, allowed", [(16, True), (17, False)])
+    def test_superoperator_capped_before_building(self, ss, monkeypatch, n_osc, allowed):
+        # the superoperator's side is dim^2 = (4 n_osc)^2: 4096 at n_osc = 16
+        def not_built(*args):
+            raise AssertionError("superoperator built")
+
+        monkeypatch.setattr(oracle, "_lindblad_superoperator", not_built)
+        tlf = ts.TlfSpec(0.1, 0.01)
+        rho0 = ts.initial_state(SQ2, SQ2, [tlf], ss, ts.HilbertSpec(n_osc=n_osc, n_tlf=1))
+        with pytest.raises(AssertionError if allowed else CapacityError,
+                           match="superoperator built" if allowed else "Liouville dimension 4624"):
+            ts.evolve_lindblad(ts.JcParams(1.0, 1.0, 0.1), tlf, 0.01, rho0, [0.0, 1.0])
+
     def test_repeated_times(self, ss):
         params = ts.JcParams(1.0, 1.0, 0.1)
         tlf = ts.TlfSpec(0.1, 0.01)
