@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dissipative import (
+    _CLASSIFY_RATIO,
     classify_regime,
     coherence_strong_damped,
     coherence_weak_damped,
@@ -57,8 +58,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-KINDS = ("jc-only", "single-tlf", "dissipative", "ensemble", "continuum", "micro")
-
 
 def _number(cast=float, lo=None, hi=None, lo_open=False):
     """A parser of one number of type ``cast`` in the domain of model._out_of_domain."""
@@ -90,21 +89,110 @@ _JC = {
     "delta": (_number(), 0.0, "TLS-oscillator detuning"),
 }
 
-# Per-kind parameter schema: key -> (parser, default, help).
-SCHEMAS = {
-    "jc-only": _JC,
-    "single-tlf": {
+
+class Kind:
+    """A scenario kind: its schema, key -> (parser, default, help); its default grid end,
+    None for a kT scan from ktMin to ktMax; its setup f(s, rng, t), which adds what its
+    methods share to ``s`` and returns its ``resolved.*`` values; and its methods,
+    tag -> f(s, t), the first the default.  Kernels are looked up when called, so one
+    replaced on this module (a tracer, a test) is the one that runs."""
+
+    def __init__(self, schema: dict, t_max: float | None, setup, methods: dict):
+        self.schema, self.t_max, self.setup, self.methods = schema, t_max, setup, methods
+
+
+def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple[dict, dict]:
+    """A scenario's parameters plus the objects its methods share, and the
+    values it resolves for the manifest.  Sampling draws from ``rng``; a kT
+    scan evaluates at each kT of ``t``."""
+    s = dict(p)
+    if "omega0" in p:
+        s["jc"] = JcParams(p["omega0"], p["omega0"] + p["delta"], p["g"])
+    if "kT" in p:
+        s["ctx"] = (ThermalContext.scale_separated() if p["kT"] is None
+                    else ThermalContext.finite_temperature(p["kT"]))
+    return s, KINDS[kind].setup(s, rng, t)
+
+
+def _single_tlf_setup(s, rng, t):
+    s["tlf"] = TlfSpec(epsilon=s["eps"], lam=s["lambda"])
+    return {}
+
+
+def _dissipative_setup(s, rng, t):
+    s["rates"] = (s["g"], s["lambda"], s["gamma"])
+    return {"regime": classify_regime(*s["rates"]).value}
+
+
+def _ensemble_setup(s, rng, t):
+    if s["sampler"] == "uniform":
+        tlfs = sample_uniform_couplings(s["n"], s["halfWidth"], rng)
+    else:
+        tlfs = sample_spatial_couplings(s["n"], s["dim"], (s["boxLo"], s["boxHi"]),
+                                        s["w"], s["g"], rng)
+    s["ens"] = TlfEnsemble(tlfs, s["ctx"])
+    stats = s["stats"] = ensemble_stats(s["ens"])
+    # float(): a numpy scalar formats slower than the float it holds (2^20 of them)
+    return {"mu": stats.mu, "sigma": stats.sigma, "R": stats.r,
+            "couplings": ",".join(f"{float(tlf.lam):.17g}" for tlf in tlfs)}
+
+
+def _continuum_setup(s, rng, t):
+    s["stats"] = EnsembleStats(mu=s["mu"], sigma2=s["sigma"] ** 2)
+    return {}
+
+
+def _micro_setup(s, rng, t):
+    _check_budget(s["nSamples"], t.size,
+                  f"micro scan of {s['nSamples']} Monte-Carlo draws per temperature")
+    mat = MaterialParams(chi=s["chi"], d=s["d"], j0=s["j0"], r0=s["r0"], cos_theta=s["cosTheta"])
+    seeds = rng.integers(0, 2**63 - 1, size=t.size)
+    s["estimates"] = [
+        average_variance_mc(mat, s["density"], s["uMin"], s["epsMax"], s["rMax"],
+                            kt, s["nSamples"], np.random.default_rng(seed))
+        for kt, seed in zip(t, seeds)
+    ]
+    return {"truncationRemainder": s["estimates"][0].truncation_remainder, "scanVariable": "kT"}
+
+
+def _continuum(s, t):
+    return coherence_continuum(s["jc"], s["stats"], t)
+
+
+def _narrow(s, t):
+    return coherence_narrow(s["jc"], s["stats"], t)
+
+
+def _broad(s, t):
+    return coherence_broad_integral(s["g"], s["stats"], t)
+
+
+KINDS = {
+    "jc-only": Kind(_JC, 200.0, lambda s, rng, t: {}, {
+        "gr": lambda s, t: coherence_gr(s["jc"], t),
+        "gr_short": lambda s, t: coherence_gr_short_time(s["g"], t),
+    }),
+    "single-tlf": Kind({
         **_JC,
         "lambda": (_number(), 0.01, "TLS-TLF coupling"),
         "eps": (_number(lo=0), 0.1, "TLF splitting"),
         "kT": _KT,
-    },
-    "dissipative": {
+    }, 400.0, _single_tlf_setup, {
+        "exact": lambda s, t: coherence_exact_single(s["jc"], s["tlf"], s["ctx"], t),
+        "weak_envelope": lambda s, t: coherence_weak_envelope(s["jc"], s["tlf"], s["ctx"], t),
+        "strong_leading": lambda s, t: coherence_strong_leading(s["jc"], s["tlf"], s["ctx"], t),
+        "strong_higher": lambda s, t: coherence_strong_higher(s["jc"], s["tlf"], s["ctx"], t),
+    }),
+    "dissipative": Kind({
         "g": _JC["g"],
         "lambda": (_number(), 0.01, "TLS-TLF coupling"),
         "gamma": (_number(lo=0), 0.005, "TLF switching rate"),
-    },
-    "ensemble": {
+    }, 2000.0, _dissipative_setup, {
+        "ode": lambda s, t: integrate_reduced(*s["rates"], t).values,
+        "weak_damped": lambda s, t: coherence_weak_damped(*s["rates"], t),
+        "strong_damped": lambda s, t: coherence_strong_damped(*s["rates"], t),
+    }),
+    "ensemble": Kind({
         **_JC,
         "n": (_number(int, lo=1, hi=2**20), 5, "number of fluctuators"),
         "sampler": (_choice("uniform", "spatial"), "uniform", "coupling sampler"),
@@ -116,15 +204,27 @@ SCHEMAS = {
         "boxHi": (_number(lo=1e-75, hi=1e75), 10.0, "spatial sampler box upper edge"),
         "w": (_POSITIVE, 1.0, "spatial sampler coupling scale"),
         "kT": _KT,
-    },
-    "continuum": {
+    }, 500.0, _ensemble_setup, {
+        "exact": lambda s, t: coherence_exact_ensemble(s["jc"], s["ens"], t),
+        "narrow": _narrow,
+        "continuum": _continuum,
+        "envelope": lambda s, t: np.exp(-s["stats"].sigma2 * t**2 / 2.0),
+        "broad": _broad,
+    }),
+    "continuum": Kind({
         **_JC,
         "g": (_number(lo=0), 0.01, "oscillator-TLS coupling"),
         # bounded so that mu^2, sigma^2 and sigma^4 stay normal floats
         "mu": (_number(lo=-1e150, hi=1e150), 0.0, "inner-product mean"),
         "sigma": (_number(lo=1e-75, hi=1e75), 0.03, "inner-product standard deviation"),
-    },
-    "micro": {
+    }, 600.0, _continuum_setup, {
+        "continuum": _continuum,
+        "narrow": _narrow,
+        "broad": _broad,
+        "erfc": lambda s, t: coherence_broad_erfc(s["g"], s["stats"], t),
+        "linear": lambda s, t: coherence_broad_linear(s["g"], s["stats"], t),
+    }),
+    "micro": Kind({
         "d": (_number(int, lo=2, hi=3), 3, "host dimension"),
         "chi": (_POSITIVE, 1.0, "phonon-rate prefactor"),
         "j0": (_POSITIVE, 1.0, "dipolar coupling constant"),
@@ -137,11 +237,15 @@ SCHEMAS = {
         "nSamples": (_number(int, lo=10_000), 200_000, "Monte-Carlo samples per temperature"),
         "ktMin": (_POSITIVE, 0.05, "thermal scan lower edge"),
         "ktMax": (_POSITIVE, 1.0, "thermal scan upper edge"),
-    },
+    }, None, _micro_setup, {
+        "variance": lambda s, t: np.array([e.value for e in s["estimates"]]),
+        "stderr": lambda s, t: np.array([e.stderr for e in s["estimates"]]),
+    }),
 }
 
 # Rules over several keys, as (key, expression, value, domain), for each kind whose schema
-# has the key: value(params), unless None, must lie in the domain of model._out_of_domain.
+# has the key (every kind has methods, the requested tags it defines): value(params and
+# methods), unless None, must lie in the domain of model._out_of_domain.
 _ABOVE_ZERO = {"lo": 0, "lo_open": True}
 RULES = [
     ("delta", "omega0 + delta", lambda p: p["omega0"] + p["delta"], _ABOVE_ZERO),  # epsilon_t
@@ -153,15 +257,13 @@ RULES = [
     ("rMax", "rMax - r0", lambda p: p["rMax"] - p["r0"], _ABOVE_ZERO),
     ("uMin", "1 - uMin", lambda p: 1.0 - p["uMin"], _ABOVE_ZERO),
     ("ktMax", "ktMax - ktMin", lambda p: p["ktMax"] - p["ktMin"], _ABOVE_ZERO),
+    # strong_damped needs the strong coupling classify_regime finds where g < 5|lambda|;
+    # the margin is only taken where it fails, since 5|lambda| may overflow where it holds
+    ("methods", f"{_CLASSIFY_RATIO:g}*|lambda| - g (strong_damped)",
+     lambda p: (m if "strong_damped" in p["methods"]
+                and (m := _CLASSIFY_RATIO * abs(p["lambda"]) - p["g"]) <= 0 else None),
+     _ABOVE_ZERO),
 ]
-
-DEFAULT_T_MAX = {
-    "jc-only": 200.0,
-    "single-tlf": 400.0,
-    "dissipative": 2000.0,
-    "ensemble": 500.0,
-    "continuum": 600.0,
-}
 
 
 @dataclass
@@ -170,7 +272,7 @@ class Scenario:
 
     kind: str
     params: dict
-    t_max: float | None  # None for micro, which scans kT, not time
+    t_max: float | None  # None for a kind that scans kT, not time
     n_points: int
     seed: int
     methods: list[str]
@@ -178,29 +280,34 @@ class Scenario:
 
     @property
     def first_name(self) -> str:
-        """The CSV's first header: ``kT`` for micro's scan, else ``t``."""
-        return "kT" if self.kind == "micro" else "t"
+        """The CSV's first header: ``kT`` for a kT scan, else ``t``."""
+        return "kT" if self.t_max is None else "t"
 
     @property
     def t_grid(self) -> np.ndarray:
-        """The CSV's first column: the time grid, or micro's kT scan."""
-        if self.kind == "micro":
+        """The CSV's first column: the time grid, or the kT scan."""
+        if self.t_max is None:
             return np.linspace(self.params["ktMin"], self.params["ktMax"], self.n_points)
         return np.linspace(0.0, self.t_max, self.n_points)
 
 
 def _read_config(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' comments; later keys override earlier."""
+    """Flat ``key = value`` lines of UTF-8 text; '#' comments; later keys override earlier."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InvalidInputError(
+                        f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                raw[key] = value
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
+                                f"{exc.reason})") from None
     return raw
 
 
@@ -227,7 +334,7 @@ def _run_keys(raw: dict, errors: list[str], t_max: float | None) -> tuple:
 def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None, list[str]]:
     """Validate a flat key-value mapping into a Scenario, collecting all errors.
 
-    Absent keys take their defaults: the schema's, DEFAULT_T_MAX, 1000 points and seed 0.
+    Absent keys take their defaults: the kind's schema and grid end, 1000 points and seed 0.
     RULES are checked once every key has parsed, so every setup accepts the result."""
     errors: list[str] = []
     raw = dict(raw)
@@ -240,30 +347,32 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
     if kind is None:
         return None, ["kind: missing (set 'kind = <scenario>' or use a subcommand)"]
     if kind not in KINDS:
-        return None, [f"kind: unknown scenario {kind!r}; expected one of {KINDS}"]
+        return None, [f"kind: unknown scenario {kind!r}; expected one of {tuple(KINDS)}"]
+    spec = KINDS[kind]
 
+    methods_text = raw.pop("methods", None)
+    methods = ([next(iter(spec.methods))] if methods_text is None
+               else [m.strip() for m in methods_text.split(",") if m.strip()])
     params = {key: _take(raw, errors, key, parse, default)
-              for key, (parse, default, _help) in SCHEMAS[kind].items()}
+              for key, (parse, default, _help) in spec.schema.items()}
     if not errors:  # every key has parsed
+        seen = {**params, "methods": [tag for tag in methods if tag in spec.methods]}
         with np.errstate(all="ignore"):  # a value that overflows is refused as not finite
             for key, expression, value, domain in RULES:
-                x = value(params) if key in params else None
+                x = value(seen) if key in seen else None
                 if x is not None and (reason := _out_of_domain(x, **domain)):
                     errors.append(f"{key}: {expression} {reason}")
-    if kind == "micro" and raw.pop("tGrid.tMax", None) is not None:
-        errors.append("tGrid.tMax: micro scans kT from ktMin to ktMax and takes no time grid")
-    t_max, n_points, seed = _run_keys(raw, errors, DEFAULT_T_MAX.get(kind))
-    methods_text = raw.pop("methods", None)
-    if methods_text is None:
-        methods = [next(iter(METHODS[kind]))]
-    else:
-        methods = [m.strip() for m in methods_text.split(",") if m.strip()]
-        if not methods:
-            errors.append("methods: empty list")
+    if spec.t_max is None and raw.pop("tGrid.tMax", None) is not None:
+        errors.append(f"tGrid.tMax: {kind} scans kT from ktMin to ktMax and takes no time grid")
+    t_max, n_points, seed = _run_keys(raw, errors, spec.t_max)
+    if not methods:
+        errors.append("methods: empty list")
     for tag in methods:
-        if tag not in METHODS[kind]:
+        if tag not in spec.methods:
             errors.append(f"methods: {tag!r} is not defined for kind {kind!r}; "
-                          f"known tags: {', '.join(METHODS[kind])}")
+                          f"known tags: {', '.join(spec.methods)}")
+    if repeated := [tag for tag in dict.fromkeys(methods) if methods.count(tag) > 1]:
+        errors.append(f"methods: {', '.join(map(repr, repeated))} listed more than once")
 
     for key in sorted(raw):
         errors.append(f"{key}: unknown key")
@@ -271,106 +380,6 @@ def validate_config(raw: dict, kind: str | None = None) -> tuple[Scenario | None
         return None, errors
     return Scenario(kind=kind, params=params, t_max=t_max, n_points=n_points,
                     seed=seed, methods=methods), []
-
-
-# ---------------------------------------------------------------------------
-# Scenario evaluation: one setup per kind, one registry of method columns.
-
-
-def _setup(kind: str, p: dict, rng: np.random.Generator, t: np.ndarray) -> tuple[dict, dict]:
-    """A scenario's parameters plus the objects its methods share, and the
-    values it resolves for the manifest.  Sampling draws from ``rng``; micro
-    runs its Monte-Carlo estimate at each kT of ``t``."""
-    s, resolved = dict(p), {}
-    if "omega0" in p:
-        s["jc"] = JcParams(p["omega0"], p["omega0"] + p["delta"], p["g"])
-    if "kT" in p:
-        s["ctx"] = (ThermalContext.scale_separated() if p["kT"] is None
-                    else ThermalContext.finite_temperature(p["kT"]))
-    if kind == "single-tlf":
-        s["tlf"] = TlfSpec(epsilon=p["eps"], lam=p["lambda"])
-    elif kind == "dissipative":
-        s["rates"] = (p["g"], p["lambda"], p["gamma"])
-        resolved["regime"] = classify_regime(*s["rates"]).value
-    elif kind == "ensemble":
-        if p["sampler"] == "uniform":
-            tlfs = sample_uniform_couplings(p["n"], p["halfWidth"], rng)
-        else:
-            tlfs = sample_spatial_couplings(p["n"], p["dim"], (p["boxLo"], p["boxHi"]),
-                                            p["w"], p["g"], rng)
-        s["ens"] = TlfEnsemble(tlfs, s["ctx"])
-        stats = s["stats"] = ensemble_stats(s["ens"])
-        # float(): a numpy scalar formats slower than the float it holds (2^20 of them)
-        resolved.update({"mu": stats.mu, "sigma": stats.sigma, "R": stats.r,
-                         "couplings": ",".join(f"{float(tlf.lam):.17g}" for tlf in tlfs)})
-    elif kind == "continuum":
-        s["stats"] = EnsembleStats(mu=p["mu"], sigma2=p["sigma"] ** 2)
-    elif kind == "micro":
-        _check_budget(p["nSamples"], t.size,
-                      f"micro scan of {p['nSamples']} Monte-Carlo draws per temperature")
-        mat = MaterialParams(chi=p["chi"], d=p["d"], j0=p["j0"], r0=p["r0"],
-                             cos_theta=p["cosTheta"])
-        seeds = rng.integers(0, 2**63 - 1, size=t.size)
-        s["estimates"] = [
-            average_variance_mc(mat, p["density"], p["uMin"], p["epsMax"], p["rMax"],
-                                kt, p["nSamples"], np.random.default_rng(seed))
-            for kt, seed in zip(t, seeds)
-        ]
-        resolved["truncationRemainder"] = s["estimates"][0].truncation_remainder
-        resolved["scanVariable"] = "kT"
-    return s, resolved
-
-
-def _continuum(s, t):
-    return coherence_continuum(s["jc"], s["stats"], t)
-
-
-def _narrow(s, t):
-    return coherence_narrow(s["jc"], s["stats"], t)
-
-
-def _broad(s, t):
-    return coherence_broad_integral(s["g"], s["stats"], t)
-
-
-# kind -> method tag -> f(setup, t); a kind's first tag is its
-# default.  Kernels are looked up when called, so one replaced on this module
-# (a tracer, a test) is the one that runs.
-METHODS = {
-    "jc-only": {
-        "gr": lambda s, t: coherence_gr(s["jc"], t),
-        "gr_short": lambda s, t: coherence_gr_short_time(s["g"], t),
-    },
-    "single-tlf": {
-        "exact": lambda s, t: coherence_exact_single(s["jc"], s["tlf"], s["ctx"], t),
-        "weak_envelope": lambda s, t: coherence_weak_envelope(s["jc"], s["tlf"], s["ctx"], t),
-        "strong_leading": lambda s, t: coherence_strong_leading(s["jc"], s["tlf"], s["ctx"], t),
-        "strong_higher": lambda s, t: coherence_strong_higher(s["jc"], s["tlf"], s["ctx"], t),
-    },
-    "dissipative": {
-        "ode": lambda s, t: integrate_reduced(*s["rates"], t).values,
-        "weak_damped": lambda s, t: coherence_weak_damped(*s["rates"], t),
-        "strong_damped": lambda s, t: coherence_strong_damped(*s["rates"], t),
-    },
-    "ensemble": {
-        "exact": lambda s, t: coherence_exact_ensemble(s["jc"], s["ens"], t),
-        "narrow": _narrow,
-        "continuum": _continuum,
-        "envelope": lambda s, t: np.exp(-s["stats"].sigma2 * t**2 / 2.0),
-        "broad": _broad,
-    },
-    "continuum": {
-        "continuum": _continuum,
-        "narrow": _narrow,
-        "broad": _broad,
-        "erfc": lambda s, t: coherence_broad_erfc(s["g"], s["stats"], t),
-        "linear": lambda s, t: coherence_broad_linear(s["g"], s["stats"], t),
-    },
-    "micro": {
-        "variance": lambda s, t: np.array([e.value for e in s["estimates"]]),
-        "stderr": lambda s, t: np.array([e.stderr for e in s["estimates"]]),
-    },
-}
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +508,7 @@ def _scenario_columns(sc: Scenario) -> tuple[np.ndarray, list[tuple[str, np.ndar
     with np.errstate(all="ignore"):
         for kind, p, names in scenarios:
             setup, values = _reporting_warnings(f"{kind} setup", _setup, kind, p, rng, t)
-            setups.append((METHODS[kind], setup))
+            setups.append((KINDS[kind].methods, setup))
             resolved.update(values if names is None
                             else {name: values[key] for key, name in names.items()})
         out = [(name, np.asarray(_reporting_warnings(name, setups[i][0][tag], setups[i][1], t)))
@@ -616,10 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tlfsim {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for kind in KINDS:
+    for kind, spec in KINDS.items():
         sub = subs.add_parser(kind, help=f"run a {kind} scenario")
         _add_common(sub)
-        for key, (_parse, default, help_text) in SCHEMAS[kind].items():
+        for key, (_parse, default, help_text) in spec.schema.items():
             if key == "kT":
                 flag = "--kt"
             else:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tlfsim
-from tlfsim import cli, ensemble
+from tlfsim import cli, dissipative, ensemble
 from tlfsim.cli import main, validate_config
 from tlfsim.microscopic import McEstimate
 
@@ -80,6 +80,28 @@ RULE_ERRORS = {
     "micro --r-max 0.5 --n-points 3": "error: rMax: rMax - r0 must be > 0\n",
     "micro --u-min 1 --n-points 3": "error: uMin: 1 - uMin must be > 0\n",
     "micro --kt-min 2 --kt-max 1 --n-points 3": "error: ktMax: ktMax - ktMin must be > 0\n",
+    "dissipative --methods strong_damped --n-points 3":
+        "error: methods: 5*|lambda| - g (strong_damped) must be > 0\n",
+}
+# Each kind's default grid end, default method and first CSV column.
+GRID_DEFAULTS = {
+    "jc-only": (200.0, "gr", "t"),
+    "single-tlf": (400.0, "exact", "t"),
+    "dissipative": (2000.0, "ode", "t"),
+    "ensemble": (500.0, "exact", "t"),
+    "continuum": (600.0, "continuum", "t"),
+    "micro": (None, "variance", "kT"),
+}
+# Lines built from the kind table, pinned whole.
+KIND_TABLE_ERRORS = {
+    "kind = bogus\n": "error: kind: unknown scenario 'bogus'; expected one of ('jc-only', "
+                      "'single-tlf', 'dissipative', 'ensemble', 'continuum', 'micro')\n",
+    "kind = jc-only\nmethods = bogus\n": (
+        "error: methods: 'bogus' is not defined for kind 'jc-only'; known tags: gr, gr_short\n"),
+    "kind = ensemble\nmethods = gr\n": (
+        "error: methods: 'gr' is not defined for kind 'ensemble'; "
+        "known tags: exact, narrow, continuum, envelope, broad\n"),
+    "": "error: kind: missing (set 'kind = <scenario>' or use a subcommand)\n",
 }
 
 
@@ -127,10 +149,68 @@ class TestValidation:
                                            "error: seed: must be >= 0 (got '-1')\n")
         assert not (tmp_path / "x.csv").exists()
 
-    def test_grid_defaults_supplied_by_validation(self):
-        sc, errors = validate_config({"kind": "jc-only"})
+    @pytest.mark.parametrize("kind", GRID_DEFAULTS)
+    def test_grid_defaults_supplied_by_validation(self, kind):
+        t_max, method, first_name = GRID_DEFAULTS[kind]
+        sc, errors = validate_config({"kind": kind})
         assert errors == []
-        assert (sc.t_max, sc.n_points, sc.seed) == (200.0, 1000, 0)
+        assert (sc.t_max, sc.n_points, sc.seed) == (t_max, 1000, 0)
+        assert (sc.methods, sc.first_name) == ([method], first_name)
+
+    @pytest.mark.parametrize("config", KIND_TABLE_ERRORS,
+                             ids=["unknown-kind", "unknown-method", "unknown-method-list",
+                                  "missing-kind"])
+    def test_kind_table_messages(self, tmp_path, capsys, config):
+        cfg = tmp_path / "x.conf"
+        cfg.write_text(config)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == KIND_TABLE_ERRORS[config]
+
+    def test_non_utf8_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_bytes(b"kind = jc-only\ng = 0.1\xff\n")
+        out = tmp_path / "x.csv"
+        for argv in (["validate", "--config", str(cfg)],
+                     ["jc-only", "--config", str(cfg), "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: not UTF-8 text (byte 0xff: invalid start byte)\n")
+        assert not out.exists()
+
+    def test_repeated_method_refused(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["jc-only", "--methods", "gr,gr", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: methods: 'gr' listed more than once\n"
+        assert not out.exists()
+        cfg = tmp_path / "x.conf"
+        cfg.write_text("kind = single-tlf\nmethods = exact,strong_leading,exact,strong_leading\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: methods: 'exact', 'strong_leading' listed more than once\n")
+
+    @pytest.mark.parametrize("kind", GRID_DEFAULTS)
+    def test_foreign_method_refused_by_name_only(self, kind):
+        # a tag that only other kinds define is one unknown-tag error, and no rule reads it
+        known = cli.KINDS[kind].methods
+        for tag in {tag for spec in cli.KINDS.values() for tag in spec.methods} - set(known):
+            for extra in ({}, {"g": "1"} if "g" in cli.KINDS[kind].schema else {}):
+                _, errors = validate_config({"kind": kind, "methods": tag, **extra})
+                assert errors == [f"methods: {tag!r} is not defined for kind {kind!r}; "
+                                  f"known tags: {', '.join(known)}"], (tag, extra)
+
+    def test_strong_damped_refused_where_classify_finds_weak_coupling(self):
+        # the rule's margin 5|lambda| - g against classify_regime's g >= 5|lambda|, at the
+        # edge and an ulp either side, up to a 5|lambda| that overflows
+        refused = ["methods: 5*|lambda| - g (strong_damped) must be > 0"]
+        top = sys.float_info.max
+        for lam in (0.0, 5e-324, 1e-300, 0.02, 0.1, 3.6e307, 1e308):
+            edge = min(5.0 * lam, top)
+            for g in {float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, top))}:
+                weak = (dissipative.classify_regime(g, lam, 0.005)
+                        is dissipative.DampingRegime.WEAK_COUPLING)
+                _, errors = validate_config({"kind": "dissipative", "g": repr(g),
+                                             "lambda": repr(lam), "methods": "strong_damped"})
+                assert errors == (refused if weak else []), (lam, g)
 
     def test_missing_output_directory_rejected(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -572,6 +652,9 @@ CONTRACT_PROBES = [
     ["dissipative", "--lambda", "9e307", "--n-points", "5"],
     ["dissipative", "--gamma", "9e307", "--n-points", "5"],
     ["ensemble", "--half-width", "1e200", "--n-points", "3"],
+    # a tag of another kind, which a rule over the methods reads
+    ["jc-only", "--methods", "strong_damped", "--n-points", "3"],
+    ["single-tlf", "--g", "1", "--methods", "strong_damped", "--n-points", "3"],
 ]
 
 # Runs whose error is raised inside a setup or a column, with their stderr
@@ -592,8 +675,8 @@ LABELLED_ERRORS = {
     "micro --j0 1e300 --n-points 2": (3, [
         "numerical error: micro setup: Numerical result out of range"]),
 }
-# Inputs that once passed validation and then failed in a setup, with the key
-# that validation now names for each.
+# Inputs that once passed validation and then failed in a setup or a column,
+# with the key that validation now names for each.
 SETUP_REFUSALS = {
     "jc-only --delta -1 --n-points 3": "delta",
     "single-tlf --omega0 1e150 --delta -1e308 --n-points 3": "delta",
@@ -602,6 +685,8 @@ SETUP_REFUSALS = {
     "ensemble --sampler spatial --g 0 --box-lo 1e-200 --box-hi 2e-200 --n-points 3": "boxLo",
     "ensemble --sampler spatial --g 1e-300 --box-lo 1e-200 --box-hi 2e-200 --n-points 3":
         "boxLo",
+    "dissipative --methods strong_damped --n-points 3": "methods",
+    "dissipative --g 0 --lambda 0 --methods ode,strong_damped --n-points 3": "methods",
 }
 CONTRACT_PROBES += [argv.split()
                     for argv in [*LABELLED_ERRORS, *SPATIAL_BOUND_PROBES, *SETUP_REFUSALS]]
@@ -613,7 +698,7 @@ def _stage_labels(argv):
         fig = cli.FIGURES[int(argv[1])]
         return ({name for name, _, _ in fig.columns}
                 | {f"{kind} setup" for kind, _, _ in fig.scenarios})
-    return set(cli.METHODS[argv[0]]) | {f"{argv[0]} setup"}
+    return set(cli.KINDS[argv[0]].methods) | {f"{argv[0]} setup"}
 
 
 def check_contract(argv, out):
@@ -635,8 +720,10 @@ def check_contract(argv, out):
         assert lines[-1].startswith({2: "error: ", 3: "numerical error: "}[rc])
         assert not os.path.exists(out)
     if rc == 2:
-        # validation refuses every input that a setup would refuse
-        assert not re.match(r"error: \S+ setup: ", lines[-1]), lines
+        # validation refuses every input that a setup or a column would refuse
+        labels = _stage_labels(argv)
+        assert not [line for line in lines
+                    if (m := re.match(r"error: ([^:]+): ", line)) and m[1] in labels], lines
     if rc == 3:
         # every numerical error names the column or the setup it came from
         m = re.match(r"numerical error: (?:column (\S+) is not finite |([^:]+): )", lines[-1])
@@ -666,7 +753,8 @@ def test_error_names_its_stage(tmp_path, argv):
 @pytest.mark.parametrize("argv", SETUP_REFUSALS)
 def test_validate_refuses_what_a_run_refuses(tmp_path, capsys, argv):
     kind, *tokens = argv.split()
-    keys = {_flag(key): key for key in cli.SCHEMAS[kind]} | {"--n-points": "tGrid.nPoints"}
+    keys = ({_flag(key): key for key in cli.KINDS[kind].schema}
+            | {"--n-points": "tGrid.nPoints", "--methods": "methods"})
     cfg = tmp_path / "x.conf"
     cfg.write_text(f"kind = {kind}\n" + "".join(
         f"{keys[flag]} = {value}\n" for flag, value in zip(tokens[::2], tokens[1::2])))
@@ -687,7 +775,7 @@ def _flag(key):
 
 
 def _bound_tokens(parse, default):
-    """The default of a cli.SCHEMAS parser, its choices plus one unknown, or
+    """The default of a kind's schema parser, its choices plus one unknown, or
     each of its bounds with the nearest values just inside and just past it."""
     nonlocals = inspect.getclosurevars(parse).nonlocals
     if "options" in nonlocals:
@@ -709,18 +797,18 @@ def _argv_strategy(kind):
     """argv for one subcommand: any subset of its schema flags, each from its
     bound tokens or _EDGE_TOKENS, a random method list and 2-17 points."""
     flags = {_flag(key): st.sampled_from(_bound_tokens(parse, default) + _EDGE_TOKENS)
-             for key, (parse, default, _) in cli.SCHEMAS[kind].items()}
-    flags["--t-max"] = st.sampled_from([str(cli.DEFAULT_T_MAX.get(kind, 1.0))] + _EDGE_TOKENS)
+             for key, (parse, default, _) in cli.KINDS[kind].schema.items()}
+    flags["--t-max"] = st.sampled_from([str(cli.KINDS[kind].t_max or 1.0)] + _EDGE_TOKENS)
     return st.tuples(
         st.fixed_dictionaries({}, optional=flags),
-        st.lists(st.sampled_from(list(cli.METHODS[kind])), min_size=1, unique=True),
+        st.lists(st.sampled_from(list(cli.KINDS[kind].methods)), min_size=1, unique=True),
         st.integers(2, 17),
     ).map(lambda drawn: [kind, *[tok for kv in drawn[0].items() for tok in kv],
                          "--methods", ",".join(drawn[1]), "--n-points", str(drawn[2])])
 
 
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
-@given(argv=st.sampled_from(cli.KINDS).flatmap(_argv_strategy))
+@given(argv=st.sampled_from(tuple(cli.KINDS)).flatmap(_argv_strategy))
 def test_input_contract_fuzz(argv):
     with tempfile.TemporaryDirectory() as tmp:
         check_contract(argv, os.path.join(tmp, "x.csv"))

@@ -184,7 +184,7 @@ _TLF = ts.TlfSpec(0.1, 0.01)
      "strong-coupling formulas assume delta = 0; "
      "use coherence_exact_single for detuned systems"),
     # a tlfsim frame (the registry's lambda) between this file and the kernel
-    (lambda: cli.METHODS["single-tlf"]["strong_leading"](
+    (lambda: cli.KINDS["single-tlf"].methods["strong_leading"](
         {"jc": ts.JcParams(1.0, 1.0, 0.1), "tlf": _TLF, "ctx": _SS}, 1.0),
      "strong-coupling formula outside regime: |lam|/g = 0.1"),
 ], ids=["weak_envelope", "strong_leading", "strong_higher", "narrow", "broad_erfc",
